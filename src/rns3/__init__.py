@@ -19,6 +19,7 @@ from rns3.converter import (
     BitWord,
     OperandSet,
     csa_eac,
+    decode_trace,
     mod_add_end_around,
     prepare_operands,
     reverse_convert,
@@ -73,6 +74,7 @@ __all__ = [
     "channel_op",
     "crt_reconstruct",
     "csa_eac",
+    "decode_trace",
     "delay_total",
     "emit_table",
     "forward_convert",

@@ -24,6 +24,10 @@ EXIT_USAGE = 2
 # Sizes whose full value range is small enough to sweep end to end.
 EXHAUSTIVE_MAX_N = 3
 
+# Decimal digits per chunk when printing big integers; well under the
+# interpreter's int-to-str limit (4300 digits by default).
+DECIMAL_CHUNK_DIGITS = 1000
+
 
 def parse_uint(text: str) -> int:
     t = text.strip().lower()
@@ -41,6 +45,24 @@ def parse_positive(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"value must be >= 1: {text!r}")
     return value
+
+
+def format_decimal(x: int) -> str:
+    """str(x) for x >= 0 of any size, without the int-to-str digit limit."""
+    chunk = 10 ** DECIMAL_CHUNK_DIGITS
+    parts = []
+    while x >= chunk:
+        x, low = divmod(x, chunk)
+        parts.append(f"{low:0{DECIMAL_CHUNK_DIGITS}d}")
+    parts.append(str(x))
+    return "".join(reversed(parts))
+
+
+def _show(value) -> str:
+    """repr(value) for a failure: an int or a tuple of ints and strings."""
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_show, value)) + ")"
+    return format_decimal(value) if isinstance(value, int) else repr(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,18 +127,15 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     ms = core.make_moduli_set(args.n)
     rv = core.ResidueVector(args.r1, args.r2, args.r3)
-    core.validate_residues(ms, rv)
     if not args.trace:
-        print(f"X={converter.reverse_convert(ms, rv)}")
+        print(f"X={format_decimal(converter.reverse_convert(ms, rv))}")
         return EXIT_OK
-    ops = converter.prepare_operands(ms, rv)
-    s, carry = converter.csa_eac(ops.s1_prime, ops.s2, ops.s31)
-    y = converter.mod_add_end_around(s, carry)
-    print(f"S1'={ops.s1_prime.to_binary()}")
-    print(f"S2={ops.s2.to_binary()}")
-    print(f"S31={ops.s31.to_binary()}")
-    print(f"CSA sum={s.to_binary()} carry={carry.to_binary()}")
-    print(f"Y={y} X={(y << ms.n) | rv.r1}")
+    t = converter.decode_trace(ms, rv)
+    print(f"S1'={t.s1_prime.to_binary()}")
+    print(f"S2={t.s2.to_binary()}")
+    print(f"S31={t.s31.to_binary()}")
+    print(f"CSA sum={t.sum.to_binary()} carry={t.carry.to_binary()}")
+    print(f"Y={format_decimal(t.y.value)} X={format_decimal(t.x.value)}")
     return EXIT_OK
 
 
@@ -227,7 +246,7 @@ def cmd_verify(args) -> int:
     for label, fails in (("roundtrip", rt_fails), ("operand lemmas", lm_fails),
                          ("homomorphism", hm_fails)):
         if fails:
-            shown = ", ".join(repr(f) for f in sorted(fails)[:10])
+            shown = ", ".join(_show(f) for f in sorted(fails)[:10])
             print(f"{label} failures (first 10 of {len(fails)}): {shown}")
     print(f"checked {rt_checked} values, {failures} failures")
     return EXIT_OK if failures == 0 else EXIT_FAIL

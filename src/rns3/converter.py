@@ -18,11 +18,17 @@ are rotations in this modulus and negations are complements.  s1_prime
 folds the r1 word and the complemented-r3 word into one summand; the
 leftover filler is the all-ones word, which is congruent to zero, so a
 single carry-save level suffices for all three channels.
+
+reverse_convert runs this datapath on plain integers, with the masks
+fixed per ModuliSet.  BitWord serves decode_trace and the layout
+functions below, which build each summand segment by segment and are the
+reference the integer wiring is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from rns3.core import ModuliSet, ResidueVector, validate_residues
 from rns3.errors import ParameterError
@@ -148,6 +154,37 @@ def merged_summand(ms: ModuliSet, r1: int, r3: int) -> BitWord:
     ])
 
 
+def summand_ints(ms: ModuliSet, r1: int, r2: int,
+                 r3: int) -> tuple[int, int, int]:
+    """S1', S2 and S31 as plain integers, for canonical residues.
+
+    The same wiring as merged_summand, r2_summand and r3_rot_summand,
+    compiled to shifts and masks: S1' complements r1 and r3 inside an
+    all-ones word; S2 and S31 put the low n+1 bits of their residue at
+    bit 3n-1 and up and the bits above n at the bottom, and S2 also holds
+    all of r2 from bit n-1.
+    """
+    n = ms.n
+    low = ms.low_mask
+    return (
+        ms.word_mask ^ ((r1 << 3 * n) | (r3 << n - 1)),
+        ((r2 & low) << 3 * n - 1) | (r2 << n - 1) | (r2 >> n + 1),
+        ((r3 & low) << 3 * n - 1) | (r3 >> n + 1),
+    )
+
+
+def _csa_eac(width: int, mask: int, a: int, b: int, c: int) -> tuple[int, int]:
+    maj = (a & b) | (a & c) | (b & c)
+    maj <<= 1  # the carry word; its MSB wraps around to bit 0
+    return a ^ b ^ c, (maj & mask) | (maj >> width)
+
+
+def _mod_add_end_around(width: int, mask: int, a: int, b: int) -> int:
+    t = a + b
+    t = (t & mask) + (t >> width)  # one end-around carry; t was < 2^(w+1)
+    return 0 if t == mask else t
+
+
 @dataclass(frozen=True)
 class OperandSet:
     """The three 4n-bit summands fed to the carry-save stage."""
@@ -164,11 +201,9 @@ class OperandSet:
 def prepare_operands(ms: ModuliSet, rv: ResidueVector) -> OperandSet:
     """Assemble the three summands; the fourth collapses to all-ones == 0."""
     validate_residues(ms, rv)
-    return OperandSet(
-        s1_prime=merged_summand(ms, rv.r1, rv.r3),
-        s2=r2_summand(ms, rv.r2),
-        s31=r3_rot_summand(ms, rv.r3),
-    )
+    width = 4 * ms.n
+    return OperandSet(*(BitWord(v, width)
+                        for v in summand_ints(ms, rv.r1, rv.r2, rv.r3)))
 
 
 def csa_eac(a: BitWord, b: BitWord, c: BitWord) -> tuple[BitWord, BitWord]:
@@ -178,24 +213,50 @@ def csa_eac(a: BitWord, b: BitWord, c: BitWord) -> tuple[BitWord, BitWord]:
     """
     if not a.width == b.width == c.width:
         raise ParameterError("csa_eac operands must share one width")
-    s = a.value ^ b.value ^ c.value
-    maj = (a.value & b.value) | (a.value & c.value) | (b.value & c.value)
-    return BitWord(s, a.width), BitWord(maj, a.width).rotl(1)
+    w = a.width
+    s, carry = _csa_eac(w, (1 << w) - 1, a.value, b.value, c.value)
+    return BitWord(s, w), BitWord(carry, w)
 
 
 def mod_add_end_around(a: BitWord, b: BitWord) -> int:
     """(a + b) mod 2^width - 1, canonical: the all-ones pattern becomes 0."""
     if a.width != b.width:
         raise ParameterError("mod_add_end_around operands must share one width")
-    mask = (1 << a.width) - 1
-    t = a.value + b.value
-    t = (t & mask) + (t >> a.width)  # one end-around carry; t was < 2^(w+1)
-    return 0 if t == mask else t
+    w = a.width
+    return _mod_add_end_around(w, (1 << w) - 1, a.value, b.value)
+
+
+def _datapath(ms: ModuliSet, rv: ResidueVector):
+    """Summands, CSA-EAC sum and carry, and Y, all as plain integers."""
+    if not (0 <= rv.r1 < ms.m1 and 0 <= rv.r2 < ms.m2 and 0 <= rv.r3 < ms.m3):
+        validate_residues(ms, rv)  # raises, naming the residue and modulus
+    width, mask = 4 * ms.n, ms.word_mask
+    ops = summand_ints(ms, rv.r1, rv.r2, rv.r3)
+    s, carry = _csa_eac(width, mask, *ops)
+    return ops, s, carry, _mod_add_end_around(width, mask, s, carry)
 
 
 def reverse_convert(ms: ModuliSet, rv: ResidueVector) -> int:
     """Residues to integer, bit for bit as the adder datapath computes it."""
-    ops = prepare_operands(ms, rv)
-    s, carry = csa_eac(ops.s1_prime, ops.s2, ops.s31)
-    y = mod_add_end_around(s, carry)
+    y = _datapath(ms, rv)[3]
     return (y << ms.n) | rv.r1  # X = Y * 2^n + r1, i.e. concatenation
+
+
+class DecodeTrace(NamedTuple):
+    """Every named intermediate of one reverse conversion."""
+
+    s1_prime: BitWord
+    s2: BitWord
+    s31: BitWord
+    sum: BitWord    # CSA-EAC sum word
+    carry: BitWord  # CSA-EAC carry word, already rotated
+    y: BitWord      # floor(X / 2^n), the end-around sum
+    x: BitWord      # Y concatenated with r1
+
+
+def decode_trace(ms: ModuliSet, rv: ResidueVector) -> DecodeTrace:
+    """reverse_convert with its intermediates kept as words."""
+    ops, s, carry, y = _datapath(ms, rv)
+    n = ms.n
+    words = [BitWord(v, 4 * n) for v in (*ops, s, carry, y)]
+    return DecodeTrace(*words, x=BitWord((y << n) | rv.r1, 5 * n))

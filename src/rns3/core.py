@@ -16,15 +16,23 @@ arbitrary precision, so n is unbounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from rns3.channels import ChannelId, ChannelKind, reduce_mod
 from rns3.errors import OutOfRangeError, ParameterError, ResidueError
 
 
+def _derived():
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class ModuliSet:
-    """Moduli, dynamic range and reconstruction weights for one size n."""
+    """Moduli, dynamic range and reconstruction weights for one size n.
+
+    The channel ids and the reverse converter's masks are derived from n
+    once, here, so the hot paths only read them.
+    """
 
     n: int
     m1: int
@@ -37,17 +45,26 @@ class ModuliSet:
     inv1: int
     inv2: int
     inv3: int
+    channel_ids: tuple[ChannelId, ChannelId, ChannelId] = _derived()
+    word_mask: int = _derived()  # 2^(4n) - 1, the converter's word
+    low_mask: int = _derived()   # 2^(n+1) - 1, the low n+1 residue bits
+
+    def __post_init__(self):
+        n = self.n
+        setattr_ = object.__setattr__  # frozen: derived fields are set once
+        setattr_(self, "channel_ids", (
+            ChannelId(ChannelKind.POW2, n),
+            ChannelId(ChannelKind.POW2_MINUS1, 2 * n),
+            ChannelId(ChannelKind.POW2_PLUS1, 2 * n),
+        ))
+        setattr_(self, "word_mask", (1 << 4 * n) - 1)
+        setattr_(self, "low_mask", (1 << n + 1) - 1)
 
     def moduli(self) -> tuple[int, int, int]:
         return (self.m1, self.m2, self.m3)
 
     def channels(self) -> tuple[ChannelId, ChannelId, ChannelId]:
-        n = self.n
-        return (
-            ChannelId(ChannelKind.POW2, n),
-            ChannelId(ChannelKind.POW2_MINUS1, 2 * n),
-            ChannelId(ChannelKind.POW2_PLUS1, 2 * n),
-        )
+        return self.channel_ids
 
 
 @dataclass(frozen=True)
@@ -77,10 +94,11 @@ def make_moduli_set(n: int) -> ModuliSet:
         mhat1=M // m1, mhat2=M // m2, mhat3=M // m3,
         inv1=m1 - 1, inv2=1 << (n - 1), inv3=1 << (n - 1),
     )
-    # Failures here are library defects, not user errors.
-    assert pairwise_coprime([m1, m2, m3])
-    for mhat, inv, m in _weight_rows(ms):
-        assert mhat * inv % m == 1
+    # Failures here are library defects, not user errors; they are checked
+    # explicitly so that they also hold under python -O.
+    if not pairwise_coprime([m1, m2, m3]):
+        raise ParameterError(f"moduli {ms.moduli()} are not pairwise coprime")
+    _check_weights(ms)
     return ms
 
 
@@ -90,6 +108,13 @@ def _weight_rows(ms: ModuliSet):
         (ms.mhat2, ms.inv2, ms.m2),
         (ms.mhat3, ms.inv3, ms.m3),
     )
+
+
+def _check_weights(ms: ModuliSet) -> None:
+    for mhat, inv, m in _weight_rows(ms):
+        if mhat * inv % m != 1:
+            raise ParameterError(
+                f"weight {inv} is not the inverse of {mhat} modulo {m}")
 
 
 def pairwise_coprime(values: list[int]) -> bool:
@@ -138,6 +163,5 @@ def crt_reconstruct(ms: ModuliSet, rv: ResidueVector) -> int:
 
 def inverse_constants(ms: ModuliSet) -> tuple[int, int, int]:
     """The closed-form weights (2^n - 1, 2^(n-1), 2^(n-1)), re-verified."""
-    for mhat, inv, m in _weight_rows(ms):
-        assert mhat * inv % m == 1
+    _check_weights(ms)
     return (ms.inv1, ms.inv2, ms.inv3)

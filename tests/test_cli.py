@@ -3,9 +3,11 @@
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
+from rns3 import converter
 from rns3.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "table4.csv"
@@ -128,3 +130,42 @@ def test_usage_errors_exit_2(capsys):
 
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def _from_digits(digits):
+    x = 0
+    for d in digits:
+        x = x * 10 + int(d)
+    return x
+
+
+# At n = 3000, X has up to about 4515 decimal digits: more than the 4300
+# that str(int) converts by default.
+BIG_N = 3000
+
+
+def test_decode_beyond_int_str_digit_limit(capsys):
+    rng = Random(BIG_N)
+    want = str(rng.randrange(1, 10)) + "".join(
+        str(rng.randrange(10)) for _ in range(4499))
+    x = _from_digits(want)
+    residues = [hex(x % m) for m in (
+        1 << BIG_N, (1 << 2 * BIG_N) - 1, (1 << 2 * BIG_N) + 1)]
+    code, out, _ = run(capsys, "decode", "--n", str(BIG_N), *residues)
+    assert code == 0
+    assert out == f"X={want}\n"
+    code, out, _ = run(capsys, "decode", "--n", str(BIG_N), "--trace",
+                       *residues)
+    assert code == 0
+    assert out.splitlines()[-1] == f"Y={x >> BIG_N} X={want}"
+
+
+def test_verify_lists_failures_beyond_int_str_digit_limit(capsys, monkeypatch):
+    monkeypatch.setattr(converter, "reverse_convert", lambda ms, rv: -1)
+    code, out, _ = run(capsys, "verify", "--n", str(BIG_N), "--random",
+                       "--samples", "1", "--seed", "5")
+    assert code == 1
+    prefix = "roundtrip failures (first 10 of 1): "
+    listed = next(line for line in out.splitlines() if line.startswith(prefix))
+    M = (1 << BIG_N) * ((1 << 4 * BIG_N) - 1)
+    assert _from_digits(listed[len(prefix):]) == Random(5).randrange(M)

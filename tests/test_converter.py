@@ -1,5 +1,6 @@
 """Bit words, operand preparation, the carry-save stage and full decoding."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from rns3.converter import (
     BitWord,
     bit_slice,
     csa_eac,
+    decode_trace,
     merged_summand,
     mod_add_end_around,
     prepare_operands,
@@ -16,6 +18,7 @@ from rns3.converter import (
     r3_comp_summand,
     r3_rot_summand,
     reverse_convert,
+    summand_ints,
 )
 from rns3.core import (
     ResidueVector,
@@ -213,3 +216,66 @@ def test_merge_identity_exhaustive():
                 s32 = r3_comp_summand(ms, r3).value
                 merged = merged_summand(ms, r1, r3).value
                 assert (s1 + s32) % modw == merged % modw
+
+
+def _reference_summands(ms, r1, r2, r3):
+    return (merged_summand(ms, r1, r3).value, r2_summand(ms, r2).value,
+            r3_rot_summand(ms, r3).value)
+
+
+def test_summand_ints_match_reference_exhaustive():
+    for n in (1, 2, 3):
+        ms = make_moduli_set(n)
+        for r1, r2, r3 in itertools.product(
+                range(ms.m1), range(ms.m2), range(ms.m3)):
+            assert summand_ints(ms, r1, r2, r3) == \
+                _reference_summands(ms, r1, r2, r3)
+
+
+def test_summand_ints_match_reference_sampled_with_edges():
+    rng = random.Random(4096)
+    for n in (4, 16, 64, 1024, 4096):
+        ms = make_moduli_set(n)
+        edges = [(0, 0, 0), (ms.m1 - 1, ms.m2 - 1, ms.m3 - 1)]
+        drawn = [tuple(rng.choice((0, m - 1, rng.randrange(m)))
+                       for m in ms.moduli()) for _ in range(200)]
+        for r1, r2, r3 in edges + drawn:
+            assert summand_ints(ms, r1, r2, r3) == \
+                _reference_summands(ms, r1, r2, r3)
+
+
+def test_reverse_convert_rejects_noncanonical_residues():
+    for n in (1, 2, 16):
+        ms = make_moduli_set(n)
+        m1, m2, m3 = ms.moduli()
+        # m2 is the all-ones alias of zero in the 2^(2n)-1 channel
+        for idx, rv in ((1, ResidueVector(m1, 0, 0)),
+                        (2, ResidueVector(0, m2, 0)),
+                        (3, ResidueVector(0, 0, m3)),
+                        (1, ResidueVector(-1, 0, 0)),
+                        (2, ResidueVector(0, -1, 0)),
+                        (3, ResidueVector(0, 0, -1))):
+            r, m = rv.astuple()[idx - 1], ms.moduli()[idx - 1]
+            message = f"^R{idx}={r} out of range for modulus {m}$"
+            with pytest.raises(ResidueError, match=message):
+                reverse_convert(ms, rv)
+            with pytest.raises(ResidueError, match=message):
+                decode_trace(ms, rv)
+
+
+def test_decode_trace_worked_example():
+    t = decode_trace(make_moduli_set(2), ResidueVector(0, 10, 15))
+    assert (t.s1_prime, t.s2, t.s31) == (
+        BitWord(225, 8), BitWord(85, 8), BitWord(225, 8))
+    assert (t.sum, t.carry) == (BitWord(85, 8), BitWord(195, 8))
+    assert t.y == BitWord(25, 8)
+    assert t.x == BitWord(100, 10)
+
+
+def test_decode_trace_matches_fast_path_exhaustive():
+    for n in (1, 2, 3):
+        ms = make_moduli_set(n)
+        for r1, r2, r3 in itertools.product(
+                range(ms.m1), range(ms.m2), range(ms.m3)):
+            rv = ResidueVector(r1, r2, r3)
+            assert decode_trace(ms, rv).x.value == reverse_convert(ms, rv)

@@ -1,9 +1,15 @@
 """Moduli set construction, forward conversion and the weighted-sum decoder."""
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from rns3 import core
 from rns3.core import (
     ResidueVector,
     crt_reconstruct,
@@ -159,3 +165,51 @@ def test_roundtrip_random_large_n():
         for _ in range(10000):
             x = rng.randrange(ms.M)
             assert crt_reconstruct(ms, forward_convert(ms, x)) == x
+
+
+def test_set_invariants_are_checked_without_assert(monkeypatch):
+    monkeypatch.setattr(core, "pairwise_coprime", lambda values: False)
+    with pytest.raises(ParameterError, match="not pairwise coprime"):
+        make_moduli_set(4)
+
+
+def test_inverse_constants_rejects_a_wrong_weight():
+    ms = dataclasses.replace(make_moduli_set(4), inv2=3)
+    with pytest.raises(ParameterError, match="not the inverse"):
+        inverse_constants(ms)
+
+
+# Runs under python -O, where assert statements are stripped: every
+# check here raises SystemExit instead.
+OPTIMIZED_SCRIPT = """
+import random
+from rns3 import converter, core
+from rns3.errors import ParameterError
+
+if __debug__:
+    raise SystemExit("not running under -O")
+rng = random.Random(1)
+for n in (1, 16):
+    ms = core.make_moduli_set(n)
+    for x in [0, ms.M - 1] + [rng.randrange(ms.M) for _ in range(500)]:
+        rv = core.forward_convert(ms, x)
+        if converter.reverse_convert(ms, rv) != x:
+            raise SystemExit(f"n={n}: round trip of {x} failed")
+core.pairwise_coprime = lambda values: False
+try:
+    core.make_moduli_set(2)
+except ParameterError:
+    pass
+else:
+    raise SystemExit("set invariant not checked under -O")
+"""
+
+
+def test_roundtrip_and_invariants_under_python_O():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
