@@ -1,16 +1,33 @@
 """Carry-free arithmetic in the channel moduli 2^k, 2^k - 1 and 2^k + 1.
 
-Reductions never divide.  The power-of-two channel masks low bits, the
-2^k - 1 channel folds k-bit chunks with end-around addition, and the
-2^k + 1 channel folds chunks with alternating signs (2^k == -1 there).
-Two bit tricks carry the rest of the library: multiplying by 2^p modulo
-2^k - 1 is a circular left shift of the k-bit word, and negating modulo
-2^k - 1 is the one's complement.
+reduce_mod folds any x >= 0: the power-of-two channel masks low bits,
+the 2^k - 1 channel adds k-bit chunks end-around (2^k == 1 there), and
+the 2^k + 1 channel sums chunks with alternating signs (2^k == -1 there)
+and canonicalizes that short sum with one final modulo.
+
+Channel arithmetic needs far less, because its operands are canonical.
+A sum or difference lies within one modulus of the range, and a product
+is below 2^(2k) (at most 2^(2k) itself in the 2^k + 1 channel), so each
+channel kind has a kernel that finishes in a fixed number of steps,
+without a loop or a division:
+
+- 2^k: one mask.
+- 2^k - 1: one end-around fold after add or sub, two after mul (the
+  first fold leaves at most k + 1 bits); the all-ones word, the alias
+  of zero, becomes 0.
+- 2^k + 1: a + b - m and a - b lie in [-m, m), so one conditional +m
+  finishes them; a product p becomes (p mod 2^k) - (p >> k), which lies
+  in [-2^k, 2^k) even for p = 2^(2k), and takes the same +m.
+
+channel_op and rns_op both run these kernels.  Two bit tricks carry the
+rest of the library: multiplying by 2^p modulo 2^k - 1 is a circular
+left shift of the k-bit word, and negating modulo 2^k - 1 is the one's
+complement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -34,23 +51,21 @@ class ChannelId:
 
     kind: ChannelKind
     k: int
+    modulus: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise ParameterError(f"channel width must be >= 1, got {self.k}")
-
-    @property
-    def modulus(self) -> int:
-        base = 1 << self.k
-        if self.kind is ChannelKind.POW2:
-            return base
+        modulus = 1 << self.k
         if self.kind is ChannelKind.POW2_MINUS1:
-            return base - 1
-        return base + 1
+            modulus -= 1
+        elif self.kind is ChannelKind.POW2_PLUS1:
+            modulus += 1
+        object.__setattr__(self, "modulus", modulus)  # frozen: set once
 
 
 def reduce_mod(chan: ChannelId, x: int) -> int:
-    """Reduce x >= 0 into [0, modulus) using chunk folds, not division."""
+    """Reduce x >= 0 into [0, modulus) using chunk folds."""
     if x < 0:
         raise ParameterError("reduce_mod expects a non-negative value")
     k = chan.k
@@ -72,32 +87,87 @@ def reduce_mod(chan: ChannelId, x: int) -> int:
     return acc % (mask + 2)
 
 
+# The kernels: op, one of CHANNEL_OPS, on canonical a, b of the channel
+# of width k and modulus m.
+
+def _pow2_op(k: int, m: int, op: str, a: int, b: int) -> int:
+    if op == "mul":
+        t = a * b
+    elif op == "add":
+        t = a + b
+    else:
+        t = a - b
+    return t & (m - 1)
+
+
+def _pow2_minus1_op(k: int, m: int, op: str, a: int, b: int) -> int:
+    if op == "mul":
+        t = a * b  # below 2^(2k): two folds
+        t = (t & m) + (t >> k)
+    elif op == "add":
+        t = a + b
+    else:
+        t = a - b + m  # a plus the one's complement of b
+    t = (t & m) + (t >> k)
+    return 0 if t == m else t
+
+
+def _pow2_plus1_op(k: int, m: int, op: str, a: int, b: int) -> int:
+    if op == "mul":
+        t = a * b  # at most 2^(2k), so t >> k is at most 2^k
+        t = (t & (m - 2)) - (t >> k)
+    elif op == "add":
+        t = a + b - m
+    else:
+        t = a - b
+    return t + m if t < 0 else t
+
+
+_KERNELS = {
+    ChannelKind.POW2: _pow2_op,
+    ChannelKind.POW2_MINUS1: _pow2_minus1_op,
+    ChannelKind.POW2_PLUS1: _pow2_plus1_op,
+}
+
+
+def _check_operand(v, m: int) -> None:
+    if type(v) is not int:
+        raise ResidueError(f"operand {v!r} is not an int")
+    if not 0 <= v < m:
+        raise ResidueError(f"operand {v} out of range for modulus {m}")
+
+
 def channel_op(chan: ChannelId, op: str, a: int, b: int) -> int:
     """Apply add/sub/mul to two canonical residues of one channel."""
     m = chan.modulus
-    if not 0 <= a < m:
-        raise ResidueError(f"operand {a} out of range for modulus {m}")
-    if not 0 <= b < m:
-        raise ResidueError(f"operand {b} out of range for modulus {m}")
-    if op == "add":
-        raw = a + b
-    elif op == "sub":
-        raw = a - b + m
-    elif op == "mul":
-        raw = a * b
-    else:
+    _check_operand(a, m)
+    _check_operand(b, m)
+    if op not in CHANNEL_OPS:
         raise ParameterError(f"unknown channel op {op!r}")
-    return reduce_mod(chan, raw)
+    return _KERNELS[chan.kind](chan.k, m, op, a, b)
 
 
 def rns_op(ms: ModuliSet, op: str, a: ResidueVector, b: ResidueVector) -> ResidueVector:
     """Component-wise arithmetic on two residue vectors of the same set."""
-    c1, c2, c3 = ms.channels()
-    return replace(
-        a,
-        r1=channel_op(c1, op, a.r1, b.r1),
-        r2=channel_op(c2, op, a.r2, b.r2),
-        r3=channel_op(c3, op, a.r3, b.r3),
+    a1, a2, a3 = a.r1, a.r2, a.r3
+    b1, b2, b3 = b.r1, b.r2, b.r3
+    m1, m2, m3 = ms.m1, ms.m2, ms.m3
+    if not (op in CHANNEL_OPS
+            and type(a1) is int and type(a2) is int and type(a3) is int
+            and type(b1) is int and type(b2) is int and type(b3) is int
+            and 0 <= a1 < m1 and 0 <= a2 < m2 and 0 <= a3 < m3
+            and 0 <= b1 < m1 and 0 <= b2 < m2 and 0 <= b3 < m3):
+        # channel_op checks the operands, then op, and names what fails.
+        c1, c2, c3 = ms.channels()
+        return type(a)(channel_op(c1, op, a1, b1), channel_op(c2, op, a2, b2),
+                       channel_op(c3, op, a3, b3))
+    n = ms.n
+    # type(a) is ResidueVector, which core defines; core imports this
+    # module, so the class is not imported here.
+    return type(a)(
+        _pow2_op(n, m1, op, a1, b1),
+        _pow2_minus1_op(2 * n, m2, op, a2, b2),
+        _pow2_plus1_op(2 * n, m3, op, a3, b3),
     )
 
 

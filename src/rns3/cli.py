@@ -279,9 +279,10 @@ def cmd_bench(args) -> int:
     rvs = [core.forward_convert(ms, x) for x in xs]
 
     def clock(label, fn, inputs):
+        cycled = [inputs[i % len(inputs)] for i in range(args.iters)]
         t0 = time.perf_counter()
-        for i in range(args.iters):
-            fn(ms, inputs[i % len(inputs)])
+        for x in cycled:
+            fn(ms, x)
         per_op = (time.perf_counter() - t0) / args.iters
         print(f"{label}: {per_op * 1e6:.3f} us/op ({args.iters} iters)")
 

@@ -228,10 +228,12 @@ def mod_add_end_around(a: BitWord, b: BitWord) -> int:
 
 def _datapath(ms: ModuliSet, rv: ResidueVector):
     """Summands, CSA-EAC sum and carry, and Y, all as plain integers."""
-    if not (0 <= rv.r1 < ms.m1 and 0 <= rv.r2 < ms.m2 and 0 <= rv.r3 < ms.m3):
+    r1, r2, r3 = rv.r1, rv.r2, rv.r3
+    if not (type(r1) is int and type(r2) is int and type(r3) is int
+            and 0 <= r1 < ms.m1 and 0 <= r2 < ms.m2 and 0 <= r3 < ms.m3):
         validate_residues(ms, rv)  # raises, naming the residue and modulus
     width, mask = 4 * ms.n, ms.word_mask
-    ops = summand_ints(ms, rv.r1, rv.r2, rv.r3)
+    ops = summand_ints(ms, r1, r2, r3)
     s, carry = _csa_eac(width, mask, *ops)
     return ops, s, carry, _mod_add_end_around(width, mask, s, carry)
 

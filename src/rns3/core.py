@@ -85,6 +85,8 @@ class ResidueVector:
 
 def make_moduli_set(n: int) -> ModuliSet:
     """Build and validate the moduli set for size parameter n >= 1."""
+    if type(n) is not int:
+        raise ParameterError(f"set parameter n must be an int, got {n!r}")
     if n < 1:
         raise ParameterError(f"set parameter n must be >= 1, got {n}")
     m1, m2, m3 = 1 << n, (1 << 2 * n) - 1, (1 << 2 * n) + 1
@@ -133,12 +135,16 @@ def pairwise_coprime(values: list[int]) -> bool:
 def validate_residues(ms: ModuliSet, rv: ResidueVector) -> None:
     """Raise ResidueError unless every residue is canonical for ms."""
     for idx, (r, m) in enumerate(zip(rv.astuple(), ms.moduli()), start=1):
+        if type(r) is not int:
+            raise ResidueError(f"R{idx}={r!r} is not an int")
         if not 0 <= r < m:
             raise ResidueError(f"R{idx}={r} out of range for modulus {m}")
 
 
 def forward_convert(ms: ModuliSet, x: int) -> ResidueVector:
     """Split x in [0, M) into its canonical residue triple."""
+    if type(x) is not int:
+        raise OutOfRangeError(f"X must be an int, got {x!r}")
     if x < 0:
         raise OutOfRangeError("X must be >= 0")
     if x >= ms.M:

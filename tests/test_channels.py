@@ -1,10 +1,14 @@
 """Channel reductions, channel/vector arithmetic and the two bit tricks."""
 
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rns3.channels import (
+    CHANNEL_OPS,
     ChannelId,
     ChannelKind,
     channel_op,
@@ -13,12 +17,14 @@ from rns3.channels import (
     rns_op,
     rotl_mod_pow2_minus1,
 )
-from rns3.core import forward_convert, make_moduli_set
+from rns3.core import ResidueVector, forward_convert, make_moduli_set
 from rns3.errors import ParameterError, ResidueError
 
 POW2 = ChannelKind.POW2
 MINUS1 = ChannelKind.POW2_MINUS1
 PLUS1 = ChannelKind.POW2_PLUS1
+
+REFERENCE_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 def test_channel_modulus():
@@ -27,6 +33,14 @@ def test_channel_modulus():
     assert ChannelId(PLUS1, 4).modulus == 17
     with pytest.raises(ParameterError):
         ChannelId(POW2, 0)
+
+
+def test_channel_modulus_is_a_derived_field():
+    chan = ChannelId(PLUS1, 4)
+    assert vars(chan)["modulus"] == 17
+    assert repr(chan) == "ChannelId(kind=<ChannelKind.POW2_PLUS1: 'pow2_plus1'>, k=4)"
+    assert chan == ChannelId(PLUS1, 4) != ChannelId(MINUS1, 4)
+    assert hash(chan) == hash(ChannelId(PLUS1, 4))
 
 
 def test_reduce_mod_examples():
@@ -76,6 +90,13 @@ def test_channel_op_rejects_bad_operands():
         channel_op(chan, "xor", 1, 2)
 
 
+def test_channel_op_rejects_non_int_operands():
+    c2 = make_moduli_set(2).channels()[1]
+    for a, b in ((2.0, 3), (2, 3.0), (True, 3), (2, False)):
+        with pytest.raises(ResidueError, match="is not an int"):
+            channel_op(c2, "mul", a, b)
+
+
 def test_channel_op_exhaustive_small_widths():
     for kind in (POW2, MINUS1, PLUS1):
         for k in (1, 2, 3):
@@ -105,6 +126,63 @@ def test_rns_op_additive_identity():
         for x in (0, 1, ms.M - 1, ms.M // 2):
             a = forward_convert(ms, x)
             assert rns_op(ms, "add", a, zero) == a
+
+
+def test_rns_op_rejects_bad_operands():
+    ms = make_moduli_set(2)
+    good = ResidueVector(1, 2, 3)
+    for bad, message in ((ResidueVector(1, True, 3), "operand True is not an int"),
+                         (ResidueVector(1, 2, 3.0), "operand 3.0 is not an int"),
+                         (ResidueVector(1, 15, 3), "operand 15 out of range for modulus 15"),
+                         (ResidueVector(1, 2, -1), "operand -1 out of range for modulus 17")):
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(ResidueError, match=f"^{message}$"):
+                rns_op(ms, "add", a, b)
+    with pytest.raises(ParameterError, match="unknown channel op 'xor'"):
+        rns_op(ms, "xor", good, good)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rns_op_matches_channel_op_exhaustive(n):
+    # Every operand pair of every channel of the set: channel i takes the
+    # pair, the other channels take the same values reduced into range.
+    ms = make_moduli_set(n)
+    mods = ms.moduli()
+    for m_i in mods:
+        for x in range(m_i):
+            a = ResidueVector(*(x % m for m in mods))
+            for y in range(m_i):
+                b = ResidueVector(*(y % m for m in mods))
+                for op in CHANNEL_OPS:
+                    assert rns_op(ms, op, a, b).astuple() == tuple(
+                        channel_op(chan, op, u, v) for chan, u, v in
+                        zip(ms.channels(), a.astuple(), b.astuple()))
+
+
+@st.composite
+def set_and_operands(draw):
+    """A moduli set with n up to 4096 and two residue vectors of it.
+
+    Each residue is 0, m - 1 or uniform; m - 1 is 2^(2n) in the 2^(2n) + 1
+    channel, whose square is the only product there above 2^(4n) - 1.
+    """
+    ms = make_moduli_set(draw(st.one_of(st.integers(1, 8), st.integers(1, 4096))))
+
+    def vector():
+        return ResidueVector(*(draw(st.one_of(st.sampled_from((0, m - 1)),
+                                              st.integers(0, m - 1)))
+                               for m in ms.moduli()))
+    return ms, vector(), vector()
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_and_operands())
+def test_rns_op_property(case):
+    ms, a, b = case
+    for op in CHANNEL_OPS:
+        got = rns_op(ms, op, a, b).astuple()
+        assert got == tuple(REFERENCE_OPS[op](x, y) % m for x, y, m in
+                            zip(a.astuple(), b.astuple(), ms.moduli()))
 
 
 def test_homomorphism_add_exhaustive_n1():

@@ -263,6 +263,17 @@ def test_reverse_convert_rejects_noncanonical_residues():
                 decode_trace(ms, rv)
 
 
+def test_reverse_convert_rejects_non_int_residues():
+    ms = make_moduli_set(2)
+    for idx, rv in ((1, ResidueVector(1.0, 2, 3)),
+                    (2, ResidueVector(1, True, 3)),
+                    (3, ResidueVector(1, 2, 3.0))):
+        message = f"^R{idx}=.* is not an int$"
+        for decode in (reverse_convert, decode_trace, prepare_operands):
+            with pytest.raises(ResidueError, match=message):
+                decode(ms, rv)
+
+
 def test_decode_trace_worked_example():
     t = decode_trace(make_moduli_set(2), ResidueVector(0, 10, 15))
     assert (t.s1_prime, t.s2, t.s31) == (

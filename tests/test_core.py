@@ -51,6 +51,12 @@ def test_make_moduli_set_rejects_nonpositive():
         make_moduli_set(-3)
 
 
+def test_make_moduli_set_rejects_non_int():
+    for n in (True, 2.0, "2"):
+        with pytest.raises(ParameterError, match="must be an int"):
+            make_moduli_set(n)
+
+
 def test_moduli_set_product_invariants():
     for n in (1, 2, 3, 5, 17, 64):
         ms = make_moduli_set(n)
@@ -97,6 +103,13 @@ def test_forward_convert_range_check():
     assert forward_convert(ms, 1019).astuple() == (3, 14, 16)
 
 
+def test_forward_convert_rejects_non_int():
+    ms = make_moduli_set(2)
+    for x in (True, False, 3.0, "3"):
+        with pytest.raises(OutOfRangeError, match="must be an int"):
+            forward_convert(ms, x)
+
+
 def test_residue_bit_accessor():
     rv = ResidueVector(r1=0b10, r2=0b1010, r3=0b01111)
     assert rv.bit(1, 1) == 1 and rv.bit(1, 0) == 0
@@ -132,6 +145,17 @@ def test_crt_reconstruct_rejects_bad_residue():
     ms = make_moduli_set(2)
     with pytest.raises(ResidueError):
         crt_reconstruct(ms, ResidueVector(4, 0, 0))
+
+
+def test_non_int_residues_are_rejected():
+    ms = make_moduli_set(2)
+    for idx, rv in ((1, ResidueVector(1.0, 2, 3)),
+                    (2, ResidueVector(1, True, 3)),
+                    (3, ResidueVector(1, 2, "3"))):
+        with pytest.raises(ResidueError, match=f"^R{idx}=.* is not an int$"):
+            validate_residues(ms, rv)
+        with pytest.raises(ResidueError, match=f"^R{idx}="):
+            crt_reconstruct(ms, rv)
 
 
 def test_inverse_constants():
