@@ -19,10 +19,11 @@ without a loop or a division:
   finishes them; a product p becomes (p mod 2^k) - (p >> k), which lies
   in [-2^k, 2^k) even for p = 2^(2k), and takes the same +m.
 
-channel_op and rns_op both run these kernels.  Two bit tricks carry the
-rest of the library: multiplying by 2^p modulo 2^k - 1 is a circular
-left shift of the k-bit word, and negating modulo 2^k - 1 is the one's
-complement.
+channel_op and rns_op both run these kernels.  rotl_mod_pow2_minus1 and
+neg_mod_pow2_minus1 state two bit tricks: multiplying by 2^p modulo
+2^k - 1 is a circular left shift of the k-bit word, and negating modulo
+2^k - 1 is the one's complement.  The converter does not call them; it
+builds both into the wiring of its summands.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ class ChannelId:
     modulus: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if type(self.k) is not int:
+            raise ParameterError(f"channel width {self.k!r} is not an int")
         if self.k < 1:
             raise ParameterError(f"channel width must be >= 1, got {self.k}")
         modulus = 1 << self.k
@@ -66,6 +69,8 @@ class ChannelId:
 
 def reduce_mod(chan: ChannelId, x: int) -> int:
     """Reduce x >= 0 into [0, modulus) using chunk folds."""
+    if type(x) is not int:
+        raise ParameterError(f"reduce_mod expects an int, got {x!r}")
     if x < 0:
         raise ParameterError("reduce_mod expects a non-negative value")
     k = chan.k
@@ -130,11 +135,11 @@ _KERNELS = {
 }
 
 
-def _check_operand(v, m: int) -> None:
+def _check_operand(v, m: int, name: str = "operand") -> None:
     if type(v) is not int:
-        raise ResidueError(f"operand {v!r} is not an int")
+        raise ResidueError(f"{name} {v!r} is not an int")
     if not 0 <= v < m:
-        raise ResidueError(f"operand {v} out of range for modulus {m}")
+        raise ResidueError(f"{name} {v} out of range for modulus {m}")
 
 
 def channel_op(chan: ChannelId, op: str, a: int, b: int) -> int:
@@ -178,9 +183,11 @@ def rotl_mod_pow2_minus1(v: int, k: int, p: int) -> int:
     involved, which is why the converter can absorb all coefficient
     multiplications into wiring.
     """
+    if type(k) is not int or k < 1 or type(p) is not int:
+        raise ParameterError(f"need an int width >= 1 and an int shift count, "
+                             f"got {k!r} and {p!r}")
     mask = (1 << k) - 1
-    if not 0 <= v < mask:
-        raise ResidueError(f"value {v} out of range for modulus {mask}")
+    _check_operand(v, mask, "value")
     if p < 0:
         raise ParameterError("shift count must be >= 0")
     p %= k
@@ -189,8 +196,9 @@ def rotl_mod_pow2_minus1(v: int, k: int, p: int) -> int:
 
 def neg_mod_pow2_minus1(v: int, k: int) -> int:
     """-v mod (2^k - 1) via one's complement; all-ones canonicalizes to 0."""
+    if type(k) is not int or k < 1:
+        raise ParameterError(f"need an int width >= 1, got {k!r}")
     mask = (1 << k) - 1
-    if not 0 <= v < mask:
-        raise ResidueError(f"value {v} out of range for modulus {mask}")
+    _check_operand(v, mask, "value")
     c = v ^ mask
     return 0 if c == mask else c

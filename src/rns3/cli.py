@@ -10,6 +10,8 @@ platform.
 from __future__ import annotations
 
 import argparse
+import itertools
+import operator
 import sys
 import time
 from random import Random
@@ -139,20 +141,15 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _check_roundtrip(ms, xs):
-    fails = []
-    checked = 0
-    for x in xs:
-        checked += 1
-        rv = core.forward_convert(ms, x)
-        if (converter.reverse_convert(ms, rv) != x
-                or core.crt_reconstruct(ms, rv) != x):
-            fails.append(x)
-    return checked, fails
+def _roundtrip_fails(ms, x):
+    rv = core.forward_convert(ms, x)
+    if converter.reverse_convert(ms, rv) != x or core.crt_reconstruct(ms, rv) != x:
+        yield x
 
 
-def _lemma_ok(ms, r1, r2, r3) -> bool:
-    """Operand words match their coefficient products mod 2^(4n)-1."""
+def _lemma_fails(ms, triple):
+    """The triple if an operand word misses its coefficient product mod 2^(4n)-1."""
+    r1, r2, r3 = triple
     n = ms.n
     modw = (1 << 4 * n) - 1
     s1 = converter.r1_summand(ms, r1).value
@@ -160,53 +157,32 @@ def _lemma_ok(ms, r1, r2, r3) -> bool:
     s31 = converter.r3_rot_summand(ms, r3).value
     s32 = converter.r3_comp_summand(ms, r3).value
     s1p = converter.merged_summand(ms, r1, r3).value
-    return (
+    if not (
         s1 % modw == (-(1 << 3 * n) * r1) % modw
         and s2 % modw == ((1 << 3 * n - 1) + (1 << n - 1)) * r2 % modw
         and (s31 + s32) % modw == ((1 << 3 * n - 1) - (1 << n - 1)) * r3 % modw
         and (s1 + s32) % modw == s1p % modw
-    )
+    ):
+        yield triple
 
 
-def _check_lemmas(ms, triples):
-    fails = []
-    checked = 0
-    for r1, r2, r3 in triples:
-        checked += 1
-        if not _lemma_ok(ms, r1, r2, r3):
-            fails.append((r1, r2, r3))
-    return checked, fails
+_REFERENCE = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
-def _check_homomorphism_channelwise(ms):
-    """All residue pairs per channel, all ops, through channel_op."""
-    fails = []
-    checked = 0
-    for chan in ms.channels():
-        m = chan.modulus
-        for op in channels.CHANNEL_OPS:
-            for a in range(m):
-                for b in range(m):
-                    checked += 1
-                    want = (a + b) % m if op == "add" else \
-                           (a - b) % m if op == "sub" else (a * b) % m
-                    if channels.channel_op(chan, op, a, b) != want:
-                        fails.append((a, b, op, chan.kind.value))
-    return checked, fails
-
-
-def _check_homomorphism_pairs(ms, pairs):
-    """Sampled (X, Y) pairs through rns_op against big-integer arithmetic."""
-    fails = []
-    checked = 0
-    for x, y in pairs:
-        checked += 1
-        a, b = core.forward_convert(ms, x), core.forward_convert(ms, y)
-        for op in channels.CHANNEL_OPS:
-            want = {"add": x + y, "sub": x - y, "mul": x * y}[op] % ms.M
-            if channels.rns_op(ms, op, a, b) != core.forward_convert(ms, want):
-                fails.append((x, y, op))
-    return checked, fails
+def _homomorphism_fails(ms, case):
+    """channel_op on a (chan, op, a, b) case, or rns_op under every op on an
+    (X, Y) pair, against the big-integer result reduced modulo m or M."""
+    if len(case) == 4:
+        chan, op, a, b = case
+        if channels.channel_op(chan, op, a, b) != _REFERENCE[op](a, b) % chan.modulus:
+            yield a, b, op, chan.kind.value
+        return
+    x, y = case
+    a, b = core.forward_convert(ms, x), core.forward_convert(ms, y)
+    for op in channels.CHANNEL_OPS:
+        want = core.forward_convert(ms, _REFERENCE[op](x, y) % ms.M)
+        if channels.rns_op(ms, op, a, b) != want:
+            yield x, y, op
 
 
 def cmd_verify(args) -> int:
@@ -216,39 +192,36 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     ms = core.make_moduli_set(args.n)
     rng = Random(args.seed)
-
     if args.exhaustive:
-        rt_checked, rt_fails = _check_roundtrip(ms, range(ms.M))
-        triples = (
-            [(0, r2, 0) for r2 in range(ms.m2)]
-            + [(r1, 0, r3) for r1 in range(ms.m1) for r3 in range(ms.m3)]
-        )
-        lm_checked, lm_fails = _check_lemmas(ms, triples)
-        hm_checked, hm_fails = _check_homomorphism_channelwise(ms)
-        pairs = [(rng.randrange(ms.M), rng.randrange(ms.M)) for _ in range(1000)]
-        extra_checked, extra_fails = _check_homomorphism_pairs(ms, pairs)
-        hm_checked += extra_checked
-        hm_fails += extra_fails
+        values = range(ms.M)
+        triples = ([(0, r2, 0) for r2 in range(ms.m2)]
+                   + [(r1, 0, r3) for r1 in range(ms.m1) for r3 in range(ms.m3)])
+        homs = [(chan, op, a, b)
+                for chan in ms.channels() for op in channels.CHANNEL_OPS
+                for a in range(chan.modulus) for b in range(chan.modulus)]
     else:
-        xs = [rng.randrange(ms.M) for _ in range(args.samples)]
-        rt_checked, rt_fails = _check_roundtrip(ms, xs)
-        triples = [(rng.randrange(ms.m1), rng.randrange(ms.m2),
-                    rng.randrange(ms.m3)) for _ in range(args.samples)]
-        lm_checked, lm_fails = _check_lemmas(ms, triples)
-        pairs = [(rng.randrange(ms.M), rng.randrange(ms.M))
-                 for _ in range(args.samples)]
-        hm_checked, hm_fails = _check_homomorphism_pairs(ms, pairs)
+        values = [rng.randrange(ms.M) for _ in range(args.samples)]
+        triples = [(rng.randrange(ms.m1), rng.randrange(ms.m2), rng.randrange(ms.m3))
+                   for _ in range(args.samples)]
+        homs = []
+    homs += [(rng.randrange(ms.M), rng.randrange(ms.M))
+             for _ in range(1000 if args.exhaustive else args.samples)]
 
-    failures = len(rt_fails) + len(lm_fails) + len(hm_fails)
-    print(f"roundtrip: checked {rt_checked}, failed {len(rt_fails)}")
-    print(f"operand lemmas: checked {lm_checked}, failed {len(lm_fails)}")
-    print(f"homomorphism: checked {hm_checked}, failed {len(hm_fails)}")
-    for label, fails in (("roundtrip", rt_fails), ("operand lemmas", lm_fails),
-                         ("homomorphism", hm_fails)):
+    checks = [
+        (label, len(cases), [f for case in cases for f in fails_of(ms, case)])
+        for label, fails_of, cases in (
+            ("roundtrip", _roundtrip_fails, values),
+            ("operand lemmas", _lemma_fails, triples),
+            ("homomorphism", _homomorphism_fails, homs))
+    ]
+    for label, checked, fails in checks:
+        print(f"{label}: checked {checked}, failed {len(fails)}")
+    for label, _, fails in checks:
         if fails:
             shown = ", ".join(_show(f) for f in sorted(fails)[:10])
             print(f"{label} failures (first 10 of {len(fails)}): {shown}")
-    print(f"checked {rt_checked} values, {failures} failures")
+    failures = sum(len(fails) for _, _, fails in checks)
+    print(f"checked {len(values)} values, {failures} failures")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
@@ -279,9 +252,8 @@ def cmd_bench(args) -> int:
     rvs = [core.forward_convert(ms, x) for x in xs]
 
     def clock(label, fn, inputs):
-        cycled = [inputs[i % len(inputs)] for i in range(args.iters)]
         t0 = time.perf_counter()
-        for x in cycled:
+        for x in itertools.islice(itertools.cycle(inputs), args.iters):
             fn(ms, x)
         per_op = (time.perf_counter() - t0) / args.iters
         print(f"{label}: {per_op * 1e6:.3f} us/op ({args.iters} iters)")

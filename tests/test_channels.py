@@ -35,6 +35,12 @@ def test_channel_modulus():
         ChannelId(POW2, 0)
 
 
+@pytest.mark.parametrize("k", [True, 2.0])
+def test_channel_id_rejects_non_int_width(k):
+    with pytest.raises(ParameterError):
+        ChannelId(POW2, k)
+
+
 def test_channel_modulus_is_a_derived_field():
     chan = ChannelId(PLUS1, 4)
     assert vars(chan)["modulus"] == 17
@@ -58,6 +64,12 @@ def test_reduce_mod_edge_cases():
     assert reduce_mod(ChannelId(PLUS1, 4), 17) == 0
     with pytest.raises(ParameterError):
         reduce_mod(ChannelId(POW2, 4), -1)
+
+
+@pytest.mark.parametrize("x", [3.0, True])
+def test_reduce_mod_rejects_non_int(x):
+    with pytest.raises(ParameterError):
+        reduce_mod(ChannelId(MINUS1, 4), x)
 
 
 def test_reduce_mod_matches_generic_modulo():
@@ -255,6 +267,18 @@ def test_rotl_rejects_bad_input():
         rotl_mod_pow2_minus1(3, 4, -1)
 
 
+@pytest.mark.parametrize("v, k, p, error", [
+    (True, 4, 1, ResidueError),
+    (1.0, 4, 1, ResidueError),
+    (1, 4, 1.0, ParameterError),
+    (1, 4.0, 1, ParameterError),
+    (1, -1, 1, ParameterError),
+])
+def test_rotl_rejects_non_int_or_bad_width(v, k, p, error):
+    with pytest.raises(error):
+        rotl_mod_pow2_minus1(v, k, p)
+
+
 def test_neg_examples():
     assert neg_mod_pow2_minus1(6, 4) == 9
     assert neg_mod_pow2_minus1(0, 4) == 0    # complement 1111 canonicalizes
@@ -271,3 +295,14 @@ def test_neg_exhaustive():
 def test_neg_rejects_noncanonical():
     with pytest.raises(ResidueError):
         neg_mod_pow2_minus1(15, 4)
+
+
+@pytest.mark.parametrize("v, k, error", [
+    (True, 4, ResidueError),
+    (2.0, 4, ResidueError),
+    (2, 4.0, ParameterError),
+    (2, -1, ParameterError),
+])
+def test_neg_rejects_non_int_or_bad_width(v, k, error):
+    with pytest.raises(error):
+        neg_mod_pow2_minus1(v, k)

@@ -1,13 +1,15 @@
 """Command-line contract: output formats, exit codes, determinism."""
 
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from rns3 import converter
+from rns3 import channels, converter, core
 from rns3.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "table4.csv"
@@ -82,6 +84,90 @@ def test_verify_random_deterministic(capsys):
     assert out1.endswith("checked 2000 values, 0 failures\n")
 
 
+def _verify_text(values, lemmas, homs):
+    return (f"roundtrip: checked {values}, failed 0\n"
+            f"operand lemmas: checked {lemmas}, failed 0\n"
+            f"homomorphism: checked {homs}, failed 0\n"
+            f"checked {values} values, 0 failures\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--n", "1", "--exhaustive"), _verify_text(30, 13, 1114)),
+    (("--n", "2", "--exhaustive"), _verify_text(1020, 83, 2590)),
+    (("--n", "3", "--exhaustive"), _verify_text(32760, 583, 25774)),
+    (("--n", "16", "--random", "--samples", "500", "--seed", "7"),
+     _verify_text(500, 500, 500)),
+])
+def test_verify_output(capsys, argv, expected):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_verify_lists_roundtrip_and_lemma_failures(capsys, monkeypatch):
+    monkeypatch.setattr(core, "crt_reconstruct", lambda ms, rv: 0)
+    monkeypatch.setattr(converter, "r2_summand",
+                        lambda ms, r2: converter.BitWord(0, 4 * ms.n))
+    code, out, _ = run(capsys, "verify", "--n", "1", "--exhaustive")
+    assert code == 1
+    assert out.splitlines() == [
+        "roundtrip: checked 30, failed 29",
+        "operand lemmas: checked 13, failed 2",
+        "homomorphism: checked 1114, failed 0",
+        "roundtrip failures (first 10 of 29): 1, 2, 3, 4, 5, 6, 7, 8, 9, 10",
+        "operand lemmas failures (first 10 of 2): (0, 1, 0), (0, 2, 0)",
+        "checked 30 values, 31 failures",
+    ]
+
+
+def test_verify_lists_channel_failures(capsys, monkeypatch):
+    monkeypatch.setattr(channels, "channel_op", lambda chan, op, a, b: -1)
+    code, out, _ = run(capsys, "verify", "--n", "1", "--exhaustive")
+    assert code == 1
+    # 1000 sampled pairs still pass through rns_op; every channel case fails.
+    first = [(0, 0, op, kind) for op in ("add", "mul", "sub")
+             for kind in ("pow2", "pow2_minus1", "pow2_plus1")]
+    first.append((0, 1, "add", "pow2"))
+    assert out.splitlines() == [
+        "roundtrip: checked 30, failed 0",
+        "operand lemmas: checked 13, failed 0",
+        "homomorphism: checked 1114, failed 114",
+        "homomorphism failures (first 10 of 114): "
+        + ", ".join(map(repr, first)),
+        "checked 30 values, 114 failures",
+    ]
+
+
+def test_verify_lists_pair_failures(capsys, monkeypatch):
+    monkeypatch.setattr(channels, "rns_op",
+                        lambda ms, op, a, b: core.ResidueVector(-1, -1, -1))
+    code, out, _ = run(capsys, "verify", "--n", "1", "--random",
+                       "--samples", "2", "--seed", "3")
+    assert code == 1
+    # The pairs come after two values and two (r1, r2, r3) triples.
+    rng = Random(3)
+    for bound in (30, 30, 2, 3, 5, 2, 3, 5):
+        rng.randrange(bound)
+    pairs = [(rng.randrange(30), rng.randrange(30)) for _ in range(2)]
+    fails = sorted((x, y, op) for x, y in pairs for op in ("add", "sub", "mul"))
+    assert out.splitlines()[2:] == [
+        "homomorphism: checked 2, failed 6",
+        "homomorphism failures (first 10 of 6): " + ", ".join(map(repr, fails)),
+        "checked 2 values, 6 failures",
+    ]
+
+
+def test_verify_under_python_O(capsys):
+    argv = ("verify", "--n", "2", "--exhaustive")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "rns3", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, *argv)[1]
+
+
 def test_costs_table4_matches_golden(capsys):
     code, out, _ = run(capsys, "costs", "--table", "4", "--format", "csv")
     assert code == 0
@@ -119,6 +205,23 @@ def test_bench_minimal(capsys):
     code, out, _ = run(capsys, "bench", "--n", "16", "--iters", "100")
     assert code == 0
     assert out.startswith("forward_convert:")
+
+
+def test_bench_memory_does_not_grow_with_iters(capsys, monkeypatch):
+    # Timed functions stubbed out: what is left is the loop's own storage.
+    # A list of one input per iteration holds 200000 8-byte pointers, 1.6 MB.
+    for module, name in ((core, "forward_convert"), (converter, "reverse_convert"),
+                         (core, "crt_reconstruct")):
+        monkeypatch.setattr(module, name, lambda ms, x: None)
+    tracemalloc.start()
+    try:
+        code = main(["bench", "--n", "1", "--iters", "200000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert peak < 1_000_000
 
 
 def test_usage_errors_exit_2(capsys):
