@@ -192,28 +192,35 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     ms = core.make_moduli_set(args.n)
     rng = Random(args.seed)
+    # Cases are drawn lazily, as each check consumes them, so memory does
+    # not grow with --samples; the checks run in turn, so the RNG still
+    # draws all values, then all triples, then all pairs.
     if args.exhaustive:
         values = range(ms.M)
-        triples = ([(0, r2, 0) for r2 in range(ms.m2)]
-                   + [(r1, 0, r3) for r1 in range(ms.m1) for r3 in range(ms.m3)])
-        homs = [(chan, op, a, b)
+        triples = itertools.chain(
+            ((0, r2, 0) for r2 in range(ms.m2)),
+            ((r1, 0, r3) for r1 in range(ms.m1) for r3 in range(ms.m3)))
+        homs = ((chan, op, a, b)
                 for chan in ms.channels() for op in channels.CHANNEL_OPS
-                for a in range(chan.modulus) for b in range(chan.modulus)]
+                for a in range(chan.modulus) for b in range(chan.modulus))
+        pairs = 1000
     else:
-        values = [rng.randrange(ms.M) for _ in range(args.samples)]
-        triples = [(rng.randrange(ms.m1), rng.randrange(ms.m2), rng.randrange(ms.m3))
-                   for _ in range(args.samples)]
-        homs = []
-    homs += [(rng.randrange(ms.M), rng.randrange(ms.M))
-             for _ in range(1000 if args.exhaustive else args.samples)]
+        values = (rng.randrange(ms.M) for _ in range(args.samples))
+        triples = ((rng.randrange(ms.m1), rng.randrange(ms.m2), rng.randrange(ms.m3))
+                   for _ in range(args.samples))
+        homs = ()
+        pairs = args.samples
+    homs = itertools.chain(homs, ((rng.randrange(ms.M), rng.randrange(ms.M))
+                                  for _ in range(pairs)))
 
-    checks = [
-        (label, len(cases), [f for case in cases for f in fails_of(ms, case)])
-        for label, fails_of, cases in (
-            ("roundtrip", _roundtrip_fails, values),
-            ("operand lemmas", _lemma_fails, triples),
-            ("homomorphism", _homomorphism_fails, homs))
-    ]
+    checks = []
+    for label, fails_of, cases in (("roundtrip", _roundtrip_fails, values),
+                                   ("operand lemmas", _lemma_fails, triples),
+                                   ("homomorphism", _homomorphism_fails, homs)):
+        checked, fails = 0, []
+        for checked, case in enumerate(cases, 1):
+            fails += fails_of(ms, case)
+        checks.append((label, checked, fails))
     for label, checked, fails in checks:
         print(f"{label}: checked {checked}, failed {len(fails)}")
     for label, _, fails in checks:
@@ -221,7 +228,7 @@ def cmd_verify(args) -> int:
             shown = ", ".join(_show(f) for f in sorted(fails)[:10])
             print(f"{label} failures (first 10 of {len(fails)}): {shown}")
     failures = sum(len(fails) for _, _, fails in checks)
-    print(f"checked {len(values)} values, {failures} failures")
+    print(f"checked {checks[0][1]} values, {failures} failures")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 

@@ -21,19 +21,24 @@ Designs compared:
     REF11   classic three-channel set {2^m-1, 2^m, 2^m+1}
 
 REF1/REF9/REF11 are modeled from their published gate bills only; their
-datapaths are not implemented here.
+datapaths are not implemented here.  The OURS bill is counted from the
+summand wiring that the converter builds (converter.summand_ints).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 
+from rns3 import converter
+from rns3.core import make_moduli_set
 from rns3.errors import ParameterError
 
 
 def ceil_log2(x: int) -> int:
     """Smallest e with 2^e >= x, for x >= 1."""
+    if type(x) is not int:
+        raise ParameterError(f"ceil_log2 needs an int, got {x!r}")
     if x < 1:
         raise ParameterError("ceil_log2 needs x >= 1")
     return (x - 1).bit_length()
@@ -41,7 +46,8 @@ def ceil_log2(x: int) -> int:
 
 @dataclass(frozen=True)
 class GateCosts:
-    """Unit-gate constants; the defaults are the model's reference values."""
+    """Unit-gate constants: the model's fixed reference values, read from
+    DEFAULT_COSTS by area_total and delay_total; no argument overrides them."""
 
     delay_inv: int = 1
     delay_and: int = 1
@@ -79,6 +85,8 @@ class ConverterDesign:
     size: int
 
     def __post_init__(self):
+        if type(self.size) is not int:
+            raise ParameterError(f"design size must be an int, got {self.size!r}")
         if self.size < 1:
             raise ParameterError(f"design size must be >= 1, got {self.size}")
 
@@ -101,13 +109,39 @@ class HwBill:
     approximate: bool = False
 
 
+def _counted_bill(n: int) -> HwBill:
+    """The OURS bill at size n, counted from converter.summand_ints.
+
+    A summand bit that differs between all-zero and all-ones residues is a
+    wire (an inverter if it reads 1 at zero), any other bit a constant.  A
+    CSA column of three wires takes a full adder; two wires take an XOR/AND
+    pair beside a constant 0, an XNOR/OR pair beside a constant 1.
+    """
+    ms = make_moduli_set(n)
+    zero = converter.summand_ints(ms, 0, 0, 0)
+    full = converter.summand_ints(ms, (1 << n) - 1, (1 << 2 * n) - 1,
+                                  (1 << 2 * n + 1) - 1)
+    a, b, c = wires = [z ^ f for z, f in zip(zero, full)]
+    three = a & b & c
+    two = ((a & b) | (a & c) | (b & c)) ^ three
+    ones = (zero[0] & ~a) | (zero[1] & ~b) | (zero[2] & ~c)
+    short = ms.word_mask & ~(three | two)
+    if short:
+        raise ParameterError(f"summand column {short.bit_length() - 1} of size"
+                             f" {n} has fewer than two wires")
+    return HwBill(Design.OURS,
+                  inverters=sum((z & w).bit_count() for z, w in zip(zero, wires)),
+                  full_adders=three.bit_count(),
+                  xor_and_pairs=(two & ~ones).bit_count(),
+                  xnor_or_pairs=(two & ones).bit_count(),
+                  ma_width=ms.word_mask.bit_length())
+
+
 def hw_bill(design: ConverterDesign) -> HwBill:
     """Component counts of the named converter at its size parameter."""
     s = design.size
     if design.tag is Design.OURS:
-        return HwBill(Design.OURS, inverters=3 * s + 1, full_adders=s + 2,
-                      xor_and_pairs=2 * s - 1, xnor_or_pairs=s - 1,
-                      ma_width=4 * s)
+        return _counted_bill(s)
     if design.tag is Design.REF1:
         # the published 2s-3 extra-inverter term is negative for s=1;
         # counts are clamped at zero
@@ -134,8 +168,9 @@ def modular_adder_delay(width: int) -> int:
     return 2 * ceil_log2(width) + 3
 
 
-def area_total(bill: HwBill, costs: GateCosts = DEFAULT_COSTS) -> int:
+def area_total(bill: HwBill) -> int:
     """Unit-gate area of a bill, modular adder included."""
+    costs = DEFAULT_COSTS
     area = (bill.inverters + bill.extra_inverters) * costs.area_not
     area += bill.full_adders * costs.area_fa
     area += bill.xor_and_pairs * costs.area_xor_and_pair
@@ -149,17 +184,17 @@ def area_total(bill: HwBill, costs: GateCosts = DEFAULT_COSTS) -> int:
     return area
 
 
-def delay_total(design: ConverterDesign, costs: GateCosts = DEFAULT_COSTS) -> int:
+# (CSA levels, 2:1-mux levels) on each design's critical path.
+_PATH_LEVELS = {Design.OURS: (1, 0), Design.REF1: (3, 0),
+               Design.REF9: (4, 0), Design.REF11: (1, 1)}
+
+
+def delay_total(design: ConverterDesign) -> int:
     """Critical-path delay: operand prep + adder levels (+ mux) + modular add."""
-    s = design.size
-    if design.tag is Design.OURS:
-        return costs.delay_inv + costs.delay_fa + modular_adder_delay(4 * s)
-    if design.tag is Design.REF1:
-        return costs.delay_inv + 3 * costs.delay_fa + modular_adder_delay(4 * s)
-    if design.tag is Design.REF9:
-        return costs.delay_inv + 4 * costs.delay_fa + modular_adder_delay(4 * s)
-    return (costs.delay_inv + costs.delay_mux + costs.delay_fa
-            + modular_adder_delay(2 * s))
+    costs = DEFAULT_COSTS
+    csa, mux = _PATH_LEVELS[design.tag]
+    return (costs.delay_inv + csa * costs.delay_fa + mux * costs.delay_mux
+            + modular_adder_delay(hw_bill(design).ma_width))
 
 
 class ChannelAdder(Enum):
@@ -172,6 +207,8 @@ def channel_adder_delay(kind: ChannelAdder, n: int) -> int:
 
     The 2^n + 2^((n+1)/2) + 1 figure is approximate by construction.
     """
+    if type(n) is not int:
+        raise ParameterError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if kind is ChannelAdder.MOD_2POW2N_PLUS1:
@@ -196,9 +233,6 @@ class CostReport:
 
 # Fixed (dynamic-range label, n, m) triples of the comparison table.
 TABLE4_SIZES = ((8, 2, 3), (16, 4, 6), (32, 7, 11), (64, 13, 22))
-
-TABLE4_CSV_HEADER = ("dr_bits,n,m,a_ours,a_ref11,extra_area_pct,"
-                     "t_ours,t_ref11,speedup_pct")
 
 
 def truncate_pct(numer: int, denom: int, places: int) -> str:
@@ -249,11 +283,8 @@ def emit_table(rows: list[CostReport], format: str = "text") -> str:
     """Render comparison rows; csv output is contract-stable."""
     if not rows:
         raise ParameterError("need at least one row")
-    cells = [TABLE4_CSV_HEADER.split(",")]
-    for r in rows:
-        cells.append([str(v) for v in (
-            r.dr_bits, r.n, r.m, r.a_ours, r.a_ref11, r.extra_area_pct,
-            r.t_ours, r.t_ref11, r.speedup_pct)])
+    cells = [[f.name for f in fields(CostReport)]]
+    cells += [[str(v) for v in astuple(r)] for r in rows]
     return _render(cells, format)
 
 
@@ -282,31 +313,29 @@ def case_census(n_lo: int = 1, n_hi: int = 50) -> tuple[float, float]:
     return 100.0 * cases.count(1) / total, 100.0 * cases.count(2) / total
 
 
+def _compared_designs(n: int, m: int | None) -> list[ConverterDesign]:
+    """Every design at size n, the classic set at m (matched to n by default)."""
+    m = matched_three_channel_size(n) if m is None else m
+    return [ConverterDesign(tag, m if tag is Design.REF11 else n)
+            for tag in Design]
+
+
 def render_bill_table(n: int, m: int | None = None, format: str = "text") -> str:
     """Hardware bills of all four designs at size n (m for the classic set)."""
-    m = matched_three_channel_size(n) if m is None else m
-    header = ["design", "size", "inverters", "full_adders", "xor_and_pairs",
-              "xnor_or_pairs", "extra_inverters", "xors", "half_adders",
-              "mux2", "mux4", "ma_width", "area", "approximate"]
-    cells = [header]
-    for tag, size in ((Design.OURS, n), (Design.REF1, n),
-                      (Design.REF9, n), (Design.REF11, m)):
-        b = hw_bill(ConverterDesign(tag, size))
-        cells.append([str(v) for v in (
-            tag.value, size, b.inverters, b.full_adders, b.xor_and_pairs,
-            b.xnor_or_pairs, b.extra_inverters, b.xors, b.half_adders,
-            b.mux2, b.mux4, b.ma_width, area_total(b), b.approximate)])
+    counts = [f.name for f in fields(HwBill)][1:-1]  # all but design, approximate
+    cells = [["design", "size", *counts, "area", "approximate"]]
+    for d in _compared_designs(n, m):
+        b = hw_bill(d)
+        cells.append([str(v) for v in (d.tag.value, d.size, *astuple(b)[1:-1],
+                                       area_total(b), b.approximate)])
     return _render(cells, format)
 
 
 def render_delay_table(n: int, m: int | None = None, format: str = "text") -> str:
     """Unit-gate delay totals of all four designs at size n (m for REF11)."""
-    m = matched_three_channel_size(n) if m is None else m
     cells = [["design", "size", "delay"]]
-    for tag, size in ((Design.OURS, n), (Design.REF1, n),
-                      (Design.REF9, n), (Design.REF11, m)):
-        cells.append([tag.value, str(size),
-                      str(delay_total(ConverterDesign(tag, size)))])
+    for d in _compared_designs(n, m):
+        cells.append([d.tag.value, str(d.size), str(delay_total(d))])
     return _render(cells, format)
 
 

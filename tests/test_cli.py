@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from rns3 import channels, converter, core
+from rns3 import channels, cli, converter, core
 from rns3.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "table4.csv"
@@ -184,6 +184,33 @@ def test_costs_table4_via_subprocess():
     assert proc.stdout == GOLDEN.read_bytes()
 
 
+def _golden_costs_runs():
+    """(argv, stdout) pairs from costs_tables.txt: each block is a
+    `$ rns3 ...` line followed by that command's exact output."""
+    text = (GOLDEN.parent / "costs_tables.txt").read_text()
+    return [(head.split(), body)
+            for head, _, body in (block.partition("\n")
+                                  for block in text.split("$ rns3 ")[1:])]
+
+
+COSTS_RUNS = _golden_costs_runs()
+
+
+@pytest.mark.parametrize("argv, expected", COSTS_RUNS,
+                         ids=[" ".join(argv[1:]) for argv, _ in COSTS_RUNS])
+def test_costs_tables_match_golden(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_costs_golden_covers_tables_1_to_3():
+    runs = {" ".join(argv) for argv, _ in COSTS_RUNS}
+    want = {f"costs --table {t} --n {n} --format {fmt}"
+            for t in "123" for n in (1, 4, 13, 64) for fmt in ("text", "csv")}
+    want |= {f"costs --table {t} --n 4 --m 9 --format {fmt}"
+             for t in "12" for fmt in ("text", "csv")}
+    assert runs == want
+
+
 def test_costs_other_tables(capsys):
     for table in ("1", "2", "3"):
         code, out, _ = run(capsys, "costs", "--table", table, "--n", "4")
@@ -221,6 +248,22 @@ def test_bench_memory_does_not_grow_with_iters(capsys, monkeypatch):
         tracemalloc.stop()
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
+    assert peak < 1_000_000
+
+
+def test_verify_memory_does_not_grow_with_samples(capsys, monkeypatch):
+    # Checks stubbed out: what is left is the storage of the drawn cases.
+    # Drawing every case up front holds 20000 values, triples and pairs, ~7 MB.
+    for name in ("_roundtrip_fails", "_lemma_fails", "_homomorphism_fails"):
+        monkeypatch.setattr(cli, name, lambda ms, case: ())
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--n", "16", "--random", "--samples", "20000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.endswith("checked 20000 values, 0 failures\n")
     assert peak < 1_000_000
 
 

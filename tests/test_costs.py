@@ -2,6 +2,7 @@
 
 import pytest
 
+from rns3 import converter
 from rns3.costs import (
     ChannelAdder,
     ConverterDesign,
@@ -56,6 +57,42 @@ def test_hw_bill_ours():
     assert b.ma_width == 8 and not b.approximate
 
 
+def test_hw_bill_ours_counted_matches_closed_forms():
+    for n in range(1, 257):
+        b = hw_bill(ConverterDesign(Design.OURS, n))
+        assert (b.inverters, b.full_adders, b.xor_and_pairs, b.xnor_or_pairs,
+                b.ma_width) == (3 * n + 1, n + 2, 2 * n - 1, n - 1, 4 * n)
+        assert (b.extra_inverters, b.xors, b.half_adders, b.mux2, b.mux4) == \
+            (0, 0, 0, 0, 0) and not b.approximate
+
+
+def _miswire_s31(monkeypatch, keep):
+    """Replace converter.summand_ints with one whose S31 keeps only the bits
+    that keep(ms) selects."""
+    real = converter.summand_ints
+
+    def summand_ints(ms, r1, r2, r3):
+        s1, s2, s31 = real(ms, r1, r2, r3)
+        return s1, s2, s31 & keep(ms)
+
+    monkeypatch.setattr(converter, "summand_ints", summand_ints)
+
+
+def test_hw_bill_ours_follows_the_summand_wiring(monkeypatch):
+    # S31 without its top n+1 bits: those columns keep two wires beside a 0.
+    _miswire_s31(monkeypatch, lambda ms: (1 << 3 * ms.n - 1) - 1)
+    b = hw_bill(ConverterDesign(Design.OURS, 4))
+    assert (b.inverters, b.full_adders, b.xor_and_pairs, b.xnor_or_pairs) == \
+        (13, 1, 12, 3)
+    assert area_total(b) != 341
+
+
+def test_hw_bill_ours_rejects_a_column_with_one_wire(monkeypatch):
+    _miswire_s31(monkeypatch, lambda ms: 0)
+    with pytest.raises(ParameterError, match="fewer than two wires"):
+        hw_bill(ConverterDesign(Design.OURS, 4))
+
+
 def test_hw_bill_ref11():
     b = hw_bill(ConverterDesign(Design.REF11, 3))
     assert (b.inverters, b.full_adders) == (7, 6)
@@ -78,6 +115,16 @@ def test_hw_bill_ref1_clamps_extra_inverters():
 def test_design_size_validation():
     with pytest.raises(ParameterError):
         ConverterDesign(Design.OURS, 0)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2", None])
+def test_sizes_must_be_int(bad):
+    with pytest.raises(ParameterError):
+        ConverterDesign(Design.OURS, bad)
+    with pytest.raises(ParameterError):
+        channel_adder_delay(ChannelAdder.MOD_HIASAT, bad)
+    with pytest.raises(ParameterError):
+        ceil_log2(bad)
 
 
 def test_area_examples():
