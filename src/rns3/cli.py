@@ -10,6 +10,7 @@ platform.
 from __future__ import annotations
 
 import argparse
+import bisect
 import itertools
 import operator
 import sys
@@ -29,6 +30,9 @@ EXHAUSTIVE_MAX_N = 3
 # Decimal digits per chunk when printing big integers; well under the
 # interpreter's int-to-str limit (4300 digits by default).
 DECIMAL_CHUNK_DIGITS = 1000
+
+# Failures listed per verify check, smallest first.
+SHOWN_FAILURES = 10
 
 
 def parse_uint(text: str) -> int:
@@ -213,21 +217,26 @@ def cmd_verify(args) -> int:
     homs = itertools.chain(homs, ((rng.randrange(ms.M), rng.randrange(ms.M))
                                   for _ in range(pairs)))
 
+    # Each check keeps a failure count and its SHOWN_FAILURES smallest
+    # failures, so memory does not grow with the number of failures either.
     checks = []
     for label, fails_of, cases in (("roundtrip", _roundtrip_fails, values),
                                    ("operand lemmas", _lemma_fails, triples),
                                    ("homomorphism", _homomorphism_fails, homs)):
-        checked, fails = 0, []
+        checked, failed, first = 0, 0, []
         for checked, case in enumerate(cases, 1):
-            fails += fails_of(ms, case)
-        checks.append((label, checked, fails))
-    for label, checked, fails in checks:
-        print(f"{label}: checked {checked}, failed {len(fails)}")
-    for label, _, fails in checks:
-        if fails:
-            shown = ", ".join(_show(f) for f in sorted(fails)[:10])
-            print(f"{label} failures (first 10 of {len(fails)}): {shown}")
-    failures = sum(len(fails) for _, _, fails in checks)
+            for fail in fails_of(ms, case):
+                failed += 1
+                bisect.insort(first, fail)
+                del first[SHOWN_FAILURES:]
+        checks.append((label, checked, failed, first))
+    for label, checked, failed, _ in checks:
+        print(f"{label}: checked {checked}, failed {failed}")
+    for label, _, failed, first in checks:
+        if failed:
+            shown = ", ".join(map(_show, first))
+            print(f"{label} failures (first {SHOWN_FAILURES} of {failed}): {shown}")
+    failures = sum(failed for _, _, failed, _ in checks)
     print(f"checked {checks[0][1]} values, {failures} failures")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 

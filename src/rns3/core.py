@@ -7,10 +7,12 @@ M = 2^n * (2^(4n) - 1), and the reconstruction weights have closed forms:
     mhat2 = 2^n * (2^(2n) + 1)   inv2 = 2^(n-1)
     mhat3 = 2^n * (2^(2n) - 1)   inv3 = 2^(n-1)
 
-forward_convert splits an integer into canonical residues using the
-channel fold reductions; crt_reconstruct is the weighted-sum decoder used
-as the correctness oracle for the bit-level converter.  Everything is
-arbitrary precision, so n is unbounded.
+forward_convert splits an integer X < 2^(5n) into three 2n-bit chunks
+lo, mid and hi; since 2^(2n) is 1 modulo 2^(2n)-1 and -1 modulo
+2^(2n)+1, the residues are the chunk sums lo + mid + hi and lo - mid + hi,
+each brought into range in a fixed number of steps.  crt_reconstruct is
+the weighted-sum decoder used as the correctness oracle for the bit-level
+converter.  Everything is arbitrary precision, so n is unbounded.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from rns3.channels import ChannelId, ChannelKind, reduce_mod
+from rns3.channels import ChannelId, ChannelKind
 from rns3.errors import OutOfRangeError, ParameterError, ResidueError
 
 
@@ -149,8 +151,17 @@ def forward_convert(ms: ModuliSet, x: int) -> ResidueVector:
         raise OutOfRangeError("X must be >= 0")
     if x >= ms.M:
         raise OutOfRangeError(f"X must be < {ms.M}")
-    c1, c2, c3 = ms.channels()
-    return ResidueVector(reduce_mod(c1, x), reduce_mod(c2, x), reduce_mod(c3, x))
+    w, m2, m3 = 2 * ms.n, ms.m2, ms.m3
+    lo, mid, hi = x & m2, (x >> w) & m2, x >> 2 * w  # hi < 2^n
+    r2 = lo + mid + hi  # below 3 * 2^w: two end-around folds
+    r2 = (r2 & m2) + (r2 >> w)
+    r2 = (r2 & m2) + (r2 >> w)
+    r3 = lo - mid + hi  # in (-m3, 2 * m3): one conditional +-m3
+    if r3 < 0:
+        r3 += m3
+    elif r3 >= m3:
+        r3 -= m3
+    return ResidueVector(x & (ms.m1 - 1), 0 if r2 == m2 else r2, r3)
 
 
 def crt_reconstruct(ms: ModuliSet, rv: ResidueVector) -> int:

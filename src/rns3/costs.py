@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
+from types import SimpleNamespace
 
 from rns3 import converter
-from rns3.core import make_moduli_set
 from rns3.errors import ParameterError
 
 
@@ -117,7 +117,10 @@ def _counted_bill(n: int) -> HwBill:
     CSA column of three wires takes a full adder; two wires take an XOR/AND
     pair beside a constant 0, an XNOR/OR pair beside a constant 1.
     """
-    ms = make_moduli_set(n)
+    # The three ModuliSet fields summand_ints reads; a full set would also
+    # build and check the 5n-bit weights, which dominates at large n.
+    ms = SimpleNamespace(n=n, word_mask=(1 << 4 * n) - 1,
+                         low_mask=(1 << n + 1) - 1)
     zero = converter.summand_ints(ms, 0, 0, 0)
     full = converter.summand_ints(ms, (1 << n) - 1, (1 << 2 * n) - 1,
                                   (1 << 2 * n + 1) - 1)

@@ -267,6 +267,33 @@ def test_verify_memory_does_not_grow_with_samples(capsys, monkeypatch):
     assert peak < 1_000_000
 
 
+def _verify_peak_with_every_value_failing(monkeypatch, samples):
+    monkeypatch.setattr(cli, "_roundtrip_fails", lambda ms, x: (x,))
+    for name in ("_lemma_fails", "_homomorphism_fails"):
+        monkeypatch.setattr(cli, name, lambda ms, case: ())
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--n", "16", "--random",
+                     "--samples", str(samples)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    return peak
+
+
+def test_verify_memory_does_not_grow_with_failures(capsys, monkeypatch):
+    # A list of every failure holds 20000 80-bit ints, ~0.9 MB more than 2000.
+    small = _verify_peak_with_every_value_failing(monkeypatch, 2000)
+    out = capsys.readouterr().out
+    assert "roundtrip: checked 2000, failed 2000\n" in out
+    big = _verify_peak_with_every_value_failing(monkeypatch, 20000)
+    out = capsys.readouterr().out
+    assert "roundtrip failures (first 10 of 20000): " in out
+    assert out.endswith("checked 20000 values, 20000 failures\n")
+    assert big < small + 100_000
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "bench", "--n", "0")[0] == 2
     assert run(capsys, "encode", "--n", "2", "-5")[0] == 2

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rns3.converter import (
     BitWord,
@@ -290,3 +292,44 @@ def test_decode_trace_matches_fast_path_exhaustive():
                 range(ms.m1), range(ms.m2), range(ms.m3)):
             rv = ResidueVector(r1, r2, r3)
             assert decode_trace(ms, rv).x.value == reverse_convert(ms, rv)
+
+
+@st.composite
+def set_and_residues(draw):
+    """A moduli set with n up to 4096 and a residue vector of it, each
+    residue 0, m - 1 or uniform."""
+    ms = make_moduli_set(draw(st.one_of(st.integers(1, 8), st.integers(1, 4096))))
+    return ms, ResidueVector(*(draw(st.one_of(st.sampled_from((0, m - 1)),
+                                              st.integers(0, m - 1)))
+                               for m in ms.moduli()))
+
+
+@st.composite
+def set_and_value(draw):
+    """A moduli set with n up to 4096 and an X of it: 0, M - 1, uniform, or
+    the value of a residue vector drawn as in set_and_residues."""
+    ms, rv = draw(set_and_residues())
+    x = draw(st.one_of(st.sampled_from((0, ms.M - 1, crt_reconstruct(ms, rv))),
+                       st.integers(0, ms.M - 1)))
+    return ms, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_and_value())
+def test_reverse_convert_inverts_forward_convert_property(case):
+    ms, x = case
+    assert reverse_convert(ms, forward_convert(ms, x)) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_and_residues())
+def test_reverse_convert_matches_crt_reconstruct_property(case):
+    ms, rv = case
+    assert reverse_convert(ms, rv) == crt_reconstruct(ms, rv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_and_residues())
+def test_decode_trace_matches_reverse_convert_property(case):
+    ms, rv = case
+    assert decode_trace(ms, rv).x.value == reverse_convert(ms, rv)

@@ -8,8 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rns3 import core
+from rns3.channels import reduce_mod
 from rns3.core import (
     ResidueVector,
     crt_reconstruct,
@@ -108,6 +111,54 @@ def test_forward_convert_rejects_non_int():
     for x in (True, False, 3.0, "3"):
         with pytest.raises(OutOfRangeError, match="must be an int"):
             forward_convert(ms, x)
+
+
+def _reference_residues(ms, x):
+    residues = tuple(reduce_mod(chan, x) for chan in ms.channels())
+    assert residues == (x % ms.m1, x % ms.m2, x % ms.m3)
+    return residues
+
+
+def test_forward_convert_kernel_exhaustive_small_n():
+    for n in (1, 2, 3):
+        ms = make_moduli_set(n)
+        for x in range(ms.M):
+            assert forward_convert(ms, x).astuple() == _reference_residues(ms, x)
+
+
+@st.composite
+def set_and_value(draw):
+    """A moduli set with n up to 4096 and an X in [0, M) built from its
+    2n-bit chunks lo, mid and hi, aimed at each step of the kernel."""
+    n = draw(st.one_of(st.integers(1, 8), st.integers(1, 4096)))
+    ms = make_moduli_set(n)
+    m2 = ms.m2
+    hi_max = (1 << n) - 2  # any lo and mid keep X below M
+    shape = draw(st.sampled_from(
+        ("zero", "top", "minus_m3", "plus_m3", "second_fold", "uniform")))
+    if shape == "zero":
+        return ms, 0
+    if shape == "top":
+        return ms, ms.M - 1
+    if shape == "uniform":
+        return ms, draw(st.integers(0, ms.M - 1))
+    if shape == "minus_m3" and n > 1:  # lo - mid + hi >= m3; none at n = 1
+        lo, mid, hi = m2, 0, draw(st.integers(2, hi_max))
+    elif shape == "second_fold":  # lo + mid + hi = 2 * m2 + hi
+        lo, mid, hi = m2, m2, draw(st.integers(0, hi_max))
+    else:  # mid > lo + hi, so lo - mid + hi < 0
+        mid = draw(st.integers(1, m2))
+        lo = draw(st.integers(0, mid - 1))
+        hi = draw(st.integers(0, min(hi_max, mid - 1 - lo)))
+    return ms, lo | mid << 2 * n | hi << 4 * n
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_and_value())
+def test_forward_convert_kernel_property(case):
+    ms, x = case
+    assert 0 <= x < ms.M
+    assert forward_convert(ms, x).astuple() == _reference_residues(ms, x)
 
 
 def test_residue_bit_accessor():

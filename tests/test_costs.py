@@ -2,7 +2,7 @@
 
 import pytest
 
-from rns3 import converter
+from rns3 import converter, core, costs
 from rns3.costs import (
     ChannelAdder,
     ConverterDesign,
@@ -91,6 +91,17 @@ def test_hw_bill_ours_rejects_a_column_with_one_wire(monkeypatch):
     _miswire_s31(monkeypatch, lambda ms: 0)
     with pytest.raises(ParameterError, match="fewer than two wires"):
         hw_bill(ConverterDesign(Design.OURS, 4))
+
+
+def test_hw_bill_ours_builds_no_moduli_set(monkeypatch):
+    # The census needs three masks of the set, not its 5n-bit weights.
+    def refuse(n):
+        raise AssertionError("hw_bill(OURS) built a moduli set")
+    monkeypatch.setattr(core, "make_moduli_set", refuse)
+    monkeypatch.setattr(costs, "make_moduli_set", refuse, raising=False)
+    bill = hw_bill(ConverterDesign(Design.OURS, 300000))
+    assert (bill.inverters, bill.full_adders, bill.ma_width) == (
+        3 * 300000 + 1, 300000 + 2, 4 * 300000)
 
 
 def test_hw_bill_ref11():
