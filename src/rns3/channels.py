@@ -19,11 +19,15 @@ without a loop or a division:
   finishes them; a product p becomes (p mod 2^k) - (p >> k), which lies
   in [-2^k, 2^k) even for p = 2^(2k), and takes the same +m.
 
-channel_op and rns_op both run these kernels.  rotl_mod_pow2_minus1 and
-neg_mod_pow2_minus1 state two bit tricks: multiplying by 2^p modulo
-2^k - 1 is a circular left shift of the k-bit word, and negating modulo
-2^k - 1 is the one's complement.  The converter does not call them; it
-builds both into the wiring of its summands.
+channel_op runs these kernels, for any width.  rns_op runs them fused,
+as one straight-line block per op over the set's channels of widths n,
+2n and 2n; the per-kind kernels are the reference its tests check it
+against.
+
+rotl_mod_pow2_minus1 and neg_mod_pow2_minus1 state two bit tricks:
+multiplying by 2^p modulo 2^k - 1 is a circular left shift of the k-bit
+word, and negating modulo 2^k - 1 is the one's complement.  The converter
+does not call them; it builds both into the wiring of its summands.
 """
 
 from __future__ import annotations
@@ -166,14 +170,29 @@ def rns_op(ms: ModuliSet, op: str, a: ResidueVector, b: ResidueVector) -> Residu
         c1, c2, c3 = ms.channels()
         return type(a)(channel_op(c1, op, a1, b1), channel_op(c2, op, a2, b2),
                        channel_op(c3, op, a3, b3))
-    n = ms.n
+    # The three kernels, fused for widths n, w and w: the 2^w - 1 channel
+    # shares one fold after every op, and m3 - 2 == m2 is the w-bit mask of
+    # the 2^w + 1 channel's product fold.
+    w = 2 * ms.n
+    if op == "mul":
+        t1 = a1 * b1
+        t2 = a2 * b2
+        t2 = (t2 & m2) + (t2 >> w)
+        t3 = a3 * b3
+        t3 = (t3 & m2) - (t3 >> w)
+    elif op == "add":
+        t1 = a1 + b1
+        t2 = a2 + b2
+        t3 = a3 + b3 - m3
+    else:
+        t1 = a1 - b1
+        t2 = a2 - b2 + m2
+        t3 = a3 - b3
+    t2 = (t2 & m2) + (t2 >> w)
     # type(a) is ResidueVector, which core defines; core imports this
     # module, so the class is not imported here.
-    return type(a)(
-        _pow2_op(n, m1, op, a1, b1),
-        _pow2_minus1_op(2 * n, m2, op, a2, b2),
-        _pow2_plus1_op(2 * n, m3, op, a3, b3),
-    )
+    return type(a)(t1 & (m1 - 1), 0 if t2 == m2 else t2,
+                   t3 + m3 if t3 < 0 else t3)
 
 
 def rotl_mod_pow2_minus1(v: int, k: int, p: int) -> int:

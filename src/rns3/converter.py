@@ -69,20 +69,6 @@ class BitWord:
     def complement(self) -> BitWord:
         return BitWord(self.value ^ ((1 << self.width) - 1), self.width)
 
-    def rotl(self, p: int) -> BitWord:
-        """Circular left shift by p positions within the word."""
-        if self.width == 0:
-            return self
-        p %= self.width
-        mask = (1 << self.width) - 1
-        return BitWord(
-            ((self.value << p) & mask) | (self.value >> (self.width - p)),
-            self.width,
-        )
-
-    def bit(self, j: int) -> int:
-        return (self.value >> j) & 1
-
     def to_binary(self) -> str:
         """MSB-first bit string, exactly width characters."""
         return format(self.value, f"0{self.width}b") if self.width else ""

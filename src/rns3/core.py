@@ -69,7 +69,7 @@ class ModuliSet:
         return self.channel_ids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ResidueVector:
     """Canonical residue triple; bit j of a residue weighs 2^j."""
 
@@ -77,9 +77,13 @@ class ResidueVector:
     r2: int
     r3: int
 
-    def bit(self, i: int, j: int) -> int:
-        """The j-th binary digit of residue i, i in {1, 2, 3}."""
-        return ((self.r1, self.r2, self.r3)[i - 1] >> j) & 1
+    def __init__(self, r1: int, r2: int, r3: int):
+        # Frozen, so the generated __init__ would pay one slow
+        # object.__setattr__ call per field; store into __dict__ instead.
+        d = self.__dict__
+        d["r1"] = r1
+        d["r2"] = r2
+        d["r3"] = r3
 
     def astuple(self) -> tuple[int, int, int]:
         return (self.r1, self.r2, self.r3)

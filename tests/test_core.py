@@ -161,11 +161,19 @@ def test_forward_convert_kernel_property(case):
     assert forward_convert(ms, x).astuple() == _reference_residues(ms, x)
 
 
-def test_residue_bit_accessor():
-    rv = ResidueVector(r1=0b10, r2=0b1010, r3=0b01111)
-    assert rv.bit(1, 1) == 1 and rv.bit(1, 0) == 0
-    assert [rv.bit(2, j) for j in range(4)] == [0, 1, 0, 1]
-    assert rv.bit(3, 4) == 0 and rv.bit(3, 3) == 1
+def test_residue_vector_contract():
+    # ResidueVector keeps the frozen dataclass behaviour with its own __init__.
+    rv = ResidueVector(1, 2, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rv.r2 = 5
+    twin = ResidueVector(r1=1, r2=2, r3=3)
+    assert rv == twin and hash(rv) == hash(twin)
+    assert rv != ResidueVector(1, 2, 4)
+    assert rv != (1, 2, 3)
+    assert repr(rv) == "ResidueVector(r1=1, r2=2, r3=3)"
+    assert dataclasses.replace(rv, r3=7) == ResidueVector(1, 2, 7)
+    assert dataclasses.astuple(rv) == rv.astuple() == (1, 2, 3)
+    assert [f.name for f in dataclasses.fields(rv)] == ["r1", "r2", "r3"]
 
 
 def test_validate_residues():
@@ -280,11 +288,28 @@ else:
 """
 
 
-def test_roundtrip_and_invariants_under_python_O():
-    src = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_optimized(*args):
+    """python -O with args, importing rns3 from this checkout's src."""
+    src = str(ROOT / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+    return subprocess.run(
+        [sys.executable, "-O", *args], cwd=ROOT,
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_roundtrip_and_invariants_under_python_O():
+    proc = _run_optimized("-c", OPTIMIZED_SCRIPT)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_property_tests_under_python_O():
+    # pytest rewrites the asserts of test modules, so the properties are
+    # still checked while the library runs with -O.
+    proc = _run_optimized(
+        "-m", "pytest", "-q", "-p", "no:cacheprovider", "-m", "hypothesis",
+        *(f"tests/test_{name}.py" for name in ("channels", "core", "converter")))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
