@@ -270,24 +270,34 @@ def cmd_bench(args) -> int:
     rng = Random(args.seed)
     xs = [rng.randrange(ms.M) for _ in range(min(args.iters, 4096))]
     rvs = [core.forward_convert(ms, x) for x in xs]
+    # label, function, and a builder of its argument tuples, called just
+    # before each pass so that only one argument list is alive at a time.
+    benches = [
+        ("forward_convert", core.forward_convert, lambda: [(ms, x) for x in xs]),
+        ("reverse_convert", converter.reverse_convert,
+         lambda: [(ms, rv) for rv in rvs]),
+        ("crt_reconstruct", core.crt_reconstruct,
+         lambda: [(ms, rv) for rv in rvs]),
+    ] + [
+        (f"rns_op {op}", channels.rns_op,
+         lambda op=op: [(ms, op, rvs[i - 1], rv) for i, rv in enumerate(rvs)])
+        for op in channels.CHANNEL_OPS
+    ]
 
-    def clock(label, fn, calls):
+    def clock(fn, calls):
         # calls: the argument tuples, cycled through for args.iters calls.
-        passes = []
-        for _ in range(BENCH_REPEATS):
-            t0 = time.perf_counter()
-            for call in itertools.islice(itertools.cycle(calls), args.iters):
-                fn(*call)
-            passes.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        for call in itertools.islice(itertools.cycle(calls), args.iters):
+            fn(*call)
+        return time.perf_counter() - t0
+
+    # Pass i of every function runs before any pass i + 1, so a slow phase
+    # of the machine slows one pass of each, not every pass of one.
+    rounds = [[clock(fn, build()) for _, fn, build in benches]
+              for _ in range(BENCH_REPEATS)]
+    for (label, _, _), passes in zip(benches, zip(*rounds)):
         per_op = min(passes) / args.iters
         print(f"{label}: {per_op * 1e6:.3f} us/op ({args.iters} iters)")
-
-    clock("forward_convert", core.forward_convert, [(ms, x) for x in xs])
-    clock("reverse_convert", converter.reverse_convert, [(ms, rv) for rv in rvs])
-    clock("crt_reconstruct", core.crt_reconstruct, [(ms, rv) for rv in rvs])
-    for op in channels.CHANNEL_OPS:
-        clock(f"rns_op {op}", channels.rns_op,
-              [(ms, op, rvs[i - 1], rv) for i, rv in enumerate(rvs)])
     return EXIT_OK
 
 

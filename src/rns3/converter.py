@@ -19,10 +19,13 @@ folds the r1 word and the complemented-r3 word into one summand; the
 leftover filler is the all-ones word, which is congruent to zero, so a
 single carry-save level suffices for all three channels.
 
-reverse_convert runs this datapath on plain integers, with the masks
-fixed per ModuliSet.  BitWord serves decode_trace and the layout
-functions below, which build each summand segment by segment and are the
-reference the integer wiring is checked against.
+reverse_convert runs this datapath as one fused kernel on plain
+integers, with the masks fixed per ModuliSet.  decode_trace runs it stage
+by stage (summand_ints, the CSA-EAC, the end-around add) and keeps every
+intermediate as a BitWord; those staged functions are the reference the
+fused kernel is tested against.  The layout functions below build each
+summand segment by segment and are, in turn, the reference for
+summand_ints.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ class BitWord:
     width: int
 
     def __post_init__(self):
+        if type(self.value) is not int or type(self.width) is not int:
+            raise ParameterError(
+                f"value {self.value!r} and width {self.width!r} must be ints")
         if self.width < 0:
             raise ParameterError("width must be >= 0")
         if not 0 <= self.value < (1 << self.width):
@@ -212,22 +218,27 @@ def mod_add_end_around(a: BitWord, b: BitWord) -> int:
     return _mod_add_end_around(w, (1 << w) - 1, a.value, b.value)
 
 
-def _datapath(ms: ModuliSet, rv: ResidueVector):
-    """Summands, CSA-EAC sum and carry, and Y, all as plain integers."""
+def reverse_convert(ms: ModuliSet, rv: ResidueVector) -> int:
+    """Residues to integer, bit for bit as the adder datapath computes it.
+
+    summand_ints, _csa_eac and _mod_add_end_around inlined into one
+    kernel, with no call or intermediate tuple; decode_trace runs them
+    staged and is its reference.
+    """
     r1, r2, r3 = rv.r1, rv.r2, rv.r3
     if not (type(r1) is int and type(r2) is int and type(r3) is int
             and 0 <= r1 < ms.m1 and 0 <= r2 < ms.m2 and 0 <= r3 < ms.m3):
         validate_residues(ms, rv)  # raises, naming the residue and modulus
-    width, mask = 4 * ms.n, ms.word_mask
-    ops = summand_ints(ms, r1, r2, r3)
-    s, carry = _csa_eac(width, mask, *ops)
-    return ops, s, carry, _mod_add_end_around(width, mask, s, carry)
-
-
-def reverse_convert(ms: ModuliSet, rv: ResidueVector) -> int:
-    """Residues to integer, bit for bit as the adder datapath computes it."""
-    y = _datapath(ms, rv)[3]
-    return (y << ms.n) | rv.r1  # X = Y * 2^n + r1, i.e. concatenation
+    n = ms.n
+    mask, low = ms.word_mask, ms.low_mask
+    a = mask ^ ((r1 << 3 * n) | (r3 << n - 1))                      # S1'
+    b = ((r2 & low) << 3 * n - 1) | (r2 << n - 1) | (r2 >> n + 1)  # S2
+    c = ((r3 & low) << 3 * n - 1) | (r3 >> n + 1)                  # S31
+    carry = ((a & b) | (a & c) | (b & c)) << 1
+    # Rotate the carry word (its MSB wraps to bit 0) onto the parity word.
+    t = (a ^ b ^ c) + ((carry & mask) | (carry >> 4 * n))
+    t = (t & mask) + (t >> 4 * n)  # one end-around carry; t was < 2^(4n+1)
+    return (0 if t == mask else t) << n | r1  # X = Y * 2^n + r1
 
 
 class DecodeTrace(NamedTuple):
@@ -243,8 +254,17 @@ class DecodeTrace(NamedTuple):
 
 
 def decode_trace(ms: ModuliSet, rv: ResidueVector) -> DecodeTrace:
-    """reverse_convert with its intermediates kept as words."""
-    ops, s, carry, y = _datapath(ms, rv)
+    """reverse_convert stage by stage, with its intermediates kept as words.
+
+    It calls summand_ints, _csa_eac and _mod_add_end_around in turn, so it
+    is the staged reference of reverse_convert's fused kernel.
+    """
+    validate_residues(ms, rv)
     n = ms.n
-    words = [BitWord(v, 4 * n) for v in (*ops, s, carry, y)]
-    return DecodeTrace(*words, x=BitWord((y << n) | rv.r1, 5 * n))
+    width, mask = 4 * n, ms.word_mask
+    r1 = rv.r1
+    ops = summand_ints(ms, r1, rv.r2, rv.r3)
+    s, carry = _csa_eac(width, mask, *ops)
+    y = _mod_add_end_around(width, mask, s, carry)
+    words = [BitWord(v, width) for v in (*ops, s, carry, y)]
+    return DecodeTrace(*words, x=BitWord((y << n) | r1, 5 * n))

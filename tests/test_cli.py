@@ -252,6 +252,25 @@ def test_bench_memory_does_not_grow_with_iters(capsys, monkeypatch):
     assert peak < 1_000_000
 
 
+def test_bench_interleaves_passes(capsys, monkeypatch):
+    calls = []
+    for module, name in ((core, "forward_convert"), (converter, "reverse_convert"),
+                         (core, "crt_reconstruct")):
+        monkeypatch.setattr(module, name,
+                            lambda ms, x, name=name: calls.append(name))
+    monkeypatch.setattr(channels, "rns_op",
+                        lambda ms, op, a, b: calls.append(op))
+    code, out, _ = run(capsys, "bench", "--n", "1", "--iters", "1")
+    assert code == 0
+    one_pass = ["forward_convert", "reverse_convert", "crt_reconstruct",
+                "add", "sub", "mul"]
+    # The first forward_convert call encodes the one bench input.
+    assert calls == ["forward_convert"] + one_pass * cli.BENCH_REPEATS
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "forward_convert", "reverse_convert", "crt_reconstruct",
+        "rns_op add", "rns_op sub", "rns_op mul"]
+
+
 def test_verify_memory_does_not_grow_with_samples(capsys, monkeypatch):
     # Checks stubbed out: what is left is the storage of the drawn cases.
     # Drawing every case up front holds 20000 values, triples and pairs, ~7 MB.

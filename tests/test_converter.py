@@ -42,6 +42,9 @@ def test_bitword_validation():
         BitWord(1, 0)
     with pytest.raises(ParameterError):
         BitWord(0, -1)
+    for value, width in ((1.5, 2), (1, 2.0), (True, 1), (1, True)):
+        with pytest.raises(ParameterError, match="must be ints$"):
+            BitWord(value, width)
 
 
 def test_bitword_concat():
@@ -270,6 +273,17 @@ def test_reverse_convert_rejects_non_int_residues():
         for decode in (reverse_convert, decode_trace, prepare_operands):
             with pytest.raises(ResidueError, match=message):
                 decode(ms, rv)
+
+
+def test_reverse_convert_edge_grid():
+    # Every residue 0, 1 or m - 1, for n = 1..64: 27 vectors per n, among
+    # them r3 = 2^(2n), the only residue with bit 2n set.
+    for n in range(1, 65):
+        ms = make_moduli_set(n)
+        for r in itertools.product(*((0, 1, m - 1) for m in ms.moduli())):
+            rv = ResidueVector(*r)
+            assert reverse_convert(ms, rv) == decode_trace(ms, rv).x.value \
+                == crt_reconstruct(ms, rv)
 
 
 def test_decode_trace_worked_example():
