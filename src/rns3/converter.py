@@ -20,12 +20,12 @@ leftover filler is the all-ones word, which is congruent to zero, so a
 single carry-save level suffices for all three channels.
 
 reverse_convert runs this datapath as one fused kernel on plain
-integers, with the masks fixed per ModuliSet.  decode_trace runs it stage
-by stage (summand_ints, the CSA-EAC, the end-around add) and keeps every
-intermediate as a BitWord; those staged functions are the reference the
-fused kernel is tested against.  The layout functions below build each
-summand segment by segment and are, in turn, the reference for
-summand_ints.
+integers, with the masks fixed per ModuliSet.  decode_trace runs it
+through the public stage functions (prepare_operands, csa_eac,
+mod_add_end_around) and keeps every intermediate as a BitWord; that
+staged path is the reference the fused kernel is tested against.  The
+layout functions below build each summand segment by segment and are, in
+turn, the reference for summand_ints.
 """
 
 from __future__ import annotations
@@ -146,9 +146,8 @@ def merged_summand(ms: ModuliSet, r1: int, r3: int) -> BitWord:
     ])
 
 
-def summand_ints(ms: ModuliSet, r1: int, r2: int,
-                 r3: int) -> tuple[int, int, int]:
-    """S1', S2 and S31 as plain integers, for canonical residues.
+def summand_ints(n: int, r1: int, r2: int, r3: int) -> tuple[int, int, int]:
+    """S1', S2 and S31 at size n as plain integers, for canonical residues.
 
     The same wiring as merged_summand, r2_summand and r3_rot_summand,
     compiled to shifts and masks: S1' complements r1 and r3 inside an
@@ -156,25 +155,12 @@ def summand_ints(ms: ModuliSet, r1: int, r2: int,
     bit 3n-1 and up and the bits above n at the bottom, and S2 also holds
     all of r2 from bit n-1.
     """
-    n = ms.n
-    low = ms.low_mask
+    low = (1 << n + 1) - 1
     return (
-        ms.word_mask ^ ((r1 << 3 * n) | (r3 << n - 1)),
+        ((1 << 4 * n) - 1) ^ ((r1 << 3 * n) | (r3 << n - 1)),
         ((r2 & low) << 3 * n - 1) | (r2 << n - 1) | (r2 >> n + 1),
         ((r3 & low) << 3 * n - 1) | (r3 >> n + 1),
     )
-
-
-def _csa_eac(width: int, mask: int, a: int, b: int, c: int) -> tuple[int, int]:
-    maj = (a & b) | (a & c) | (b & c)
-    maj <<= 1  # the carry word; its MSB wraps around to bit 0
-    return a ^ b ^ c, (maj & mask) | (maj >> width)
-
-
-def _mod_add_end_around(width: int, mask: int, a: int, b: int) -> int:
-    t = a + b
-    t = (t & mask) + (t >> width)  # one end-around carry; t was < 2^(w+1)
-    return 0 if t == mask else t
 
 
 @dataclass(frozen=True)
@@ -195,7 +181,7 @@ def prepare_operands(ms: ModuliSet, rv: ResidueVector) -> OperandSet:
     validate_residues(ms, rv)
     width = 4 * ms.n
     return OperandSet(*(BitWord(v, width)
-                        for v in summand_ints(ms, rv.r1, rv.r2, rv.r3)))
+                        for v in summand_ints(ms.n, rv.r1, rv.r2, rv.r3)))
 
 
 def csa_eac(a: BitWord, b: BitWord, c: BitWord) -> tuple[BitWord, BitWord]:
@@ -203,27 +189,34 @@ def csa_eac(a: BitWord, b: BitWord, c: BitWord) -> tuple[BitWord, BitWord]:
 
     Returns (sum, carry) with a + b + c == sum + carry (mod 2^width - 1).
     """
+    if not all(isinstance(w, BitWord) for w in (a, b, c)):
+        raise ParameterError("csa_eac operands must be BitWords")
     if not a.width == b.width == c.width:
         raise ParameterError("csa_eac operands must share one width")
-    w = a.width
-    s, carry = _csa_eac(w, (1 << w) - 1, a.value, b.value, c.value)
-    return BitWord(s, w), BitWord(carry, w)
+    w, mask = a.width, (1 << a.width) - 1
+    a, b, c = a.value, b.value, c.value
+    carry = ((a & b) | (a & c) | (b & c)) << 1  # its MSB wraps to bit 0
+    return BitWord(a ^ b ^ c, w), BitWord((carry & mask) | (carry >> w), w)
 
 
 def mod_add_end_around(a: BitWord, b: BitWord) -> int:
     """(a + b) mod 2^width - 1, canonical: the all-ones pattern becomes 0."""
+    if not (isinstance(a, BitWord) and isinstance(b, BitWord)):
+        raise ParameterError("mod_add_end_around operands must be BitWords")
     if a.width != b.width:
         raise ParameterError("mod_add_end_around operands must share one width")
-    w = a.width
-    return _mod_add_end_around(w, (1 << w) - 1, a.value, b.value)
+    w, mask = a.width, (1 << a.width) - 1
+    t = a.value + b.value
+    t = (t & mask) + (t >> w)  # one end-around carry; t was < 2^(w+1)
+    return 0 if t == mask else t
 
 
 def reverse_convert(ms: ModuliSet, rv: ResidueVector) -> int:
     """Residues to integer, bit for bit as the adder datapath computes it.
 
-    summand_ints, _csa_eac and _mod_add_end_around inlined into one
-    kernel, with no call or intermediate tuple; decode_trace runs them
-    staged and is its reference.
+    summand_ints, csa_eac and mod_add_end_around inlined into one kernel,
+    with no call or intermediate tuple; decode_trace runs them staged and
+    is its reference.
     """
     r1, r2, r3 = rv.r1, rv.r2, rv.r3
     if not (type(r1) is int and type(r2) is int and type(r3) is int
@@ -256,15 +249,11 @@ class DecodeTrace(NamedTuple):
 def decode_trace(ms: ModuliSet, rv: ResidueVector) -> DecodeTrace:
     """reverse_convert stage by stage, with its intermediates kept as words.
 
-    It calls summand_ints, _csa_eac and _mod_add_end_around in turn, so it
-    is the staged reference of reverse_convert's fused kernel.
+    It runs prepare_operands, csa_eac and mod_add_end_around in turn, so
+    it is the staged reference of reverse_convert's fused kernel.
     """
-    validate_residues(ms, rv)
-    n = ms.n
-    width, mask = 4 * n, ms.word_mask
-    r1 = rv.r1
-    ops = summand_ints(ms, r1, rv.r2, rv.r3)
-    s, carry = _csa_eac(width, mask, *ops)
-    y = _mod_add_end_around(width, mask, s, carry)
-    words = [BitWord(v, width) for v in (*ops, s, carry, y)]
-    return DecodeTrace(*words, x=BitWord((y << n) | r1, 5 * n))
+    ops = prepare_operands(ms, rv)
+    s, carry = csa_eac(ops.s1_prime, ops.s2, ops.s31)
+    y = BitWord(mod_add_end_around(s, carry), ops.width)
+    return DecodeTrace(ops.s1_prime, ops.s2, ops.s31, s, carry, y,
+                       x=BitWord(y.value << ms.n | rv.r1, 5 * ms.n))

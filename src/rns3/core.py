@@ -32,8 +32,8 @@ def _derived():
 class ModuliSet:
     """Moduli, dynamic range and reconstruction weights for one size n.
 
-    The channel ids and the reverse converter's masks are derived from n
-    once, here, so the hot paths only read them.
+    The reverse converter's masks are derived from n once, here, so the
+    hot path only reads them; channels() builds the channel ids on call.
     """
 
     n: int
@@ -47,18 +47,12 @@ class ModuliSet:
     inv1: int
     inv2: int
     inv3: int
-    channel_ids: tuple[ChannelId, ChannelId, ChannelId] = _derived()
     word_mask: int = _derived()  # 2^(4n) - 1, the converter's word
     low_mask: int = _derived()   # 2^(n+1) - 1, the low n+1 residue bits
 
     def __post_init__(self):
         n = self.n
         setattr_ = object.__setattr__  # frozen: derived fields are set once
-        setattr_(self, "channel_ids", (
-            ChannelId(ChannelKind.POW2, n),
-            ChannelId(ChannelKind.POW2_MINUS1, 2 * n),
-            ChannelId(ChannelKind.POW2_PLUS1, 2 * n),
-        ))
         setattr_(self, "word_mask", (1 << 4 * n) - 1)
         setattr_(self, "low_mask", (1 << n + 1) - 1)
 
@@ -66,7 +60,10 @@ class ModuliSet:
         return (self.m1, self.m2, self.m3)
 
     def channels(self) -> tuple[ChannelId, ChannelId, ChannelId]:
-        return self.channel_ids
+        n = self.n
+        return (ChannelId(ChannelKind.POW2, n),
+                ChannelId(ChannelKind.POW2_MINUS1, 2 * n),
+                ChannelId(ChannelKind.POW2_PLUS1, 2 * n))
 
 
 @dataclass(frozen=True, init=False)

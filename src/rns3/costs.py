@@ -22,14 +22,14 @@ Designs compared:
 
 REF1/REF9/REF11 are modeled from their published gate bills only; their
 datapaths are not implemented here.  The OURS bill is counted from the
-summand wiring that the converter builds (converter.summand_ints).
+summand wiring that the converter builds (converter.summand_ints, which
+takes only n, so no ModuliSet with its 5n-bit weights is built).
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
-from types import SimpleNamespace
 
 from rns3 import converter
 from rns3.errors import ParameterError
@@ -117,18 +117,14 @@ def _counted_bill(n: int) -> HwBill:
     CSA column of three wires takes a full adder; two wires take an XOR/AND
     pair beside a constant 0, an XNOR/OR pair beside a constant 1.
     """
-    # The three ModuliSet fields summand_ints reads; a full set would also
-    # build and check the 5n-bit weights, which dominates at large n.
-    ms = SimpleNamespace(n=n, word_mask=(1 << 4 * n) - 1,
-                         low_mask=(1 << n + 1) - 1)
-    zero = converter.summand_ints(ms, 0, 0, 0)
-    full = converter.summand_ints(ms, (1 << n) - 1, (1 << 2 * n) - 1,
+    zero = converter.summand_ints(n, 0, 0, 0)
+    full = converter.summand_ints(n, (1 << n) - 1, (1 << 2 * n) - 1,
                                   (1 << 2 * n + 1) - 1)
     a, b, c = wires = [z ^ f for z, f in zip(zero, full)]
     three = a & b & c
     two = ((a & b) | (a & c) | (b & c)) ^ three
     ones = (zero[0] & ~a) | (zero[1] & ~b) | (zero[2] & ~c)
-    short = ms.word_mask & ~(three | two)
+    short = ((1 << 4 * n) - 1) & ~(three | two)
     if short:
         raise ParameterError(f"summand column {short.bit_length() - 1} of size"
                              f" {n} has fewer than two wires")
@@ -137,7 +133,7 @@ def _counted_bill(n: int) -> HwBill:
                   full_adders=three.bit_count(),
                   xor_and_pairs=(two & ~ones).bit_count(),
                   xnor_or_pairs=(two & ones).bit_count(),
-                  ma_width=ms.word_mask.bit_length())
+                  ma_width=4 * n)
 
 
 def hw_bill(design: ConverterDesign) -> HwBill:
@@ -239,16 +235,18 @@ TABLE4_SIZES = ((8, 2, 3), (16, 4, 6), (32, 7, 11), (64, 13, 22))
 
 
 def truncate_pct(numer: int, denom: int, places: int) -> str:
-    """100*numer/denom truncated to `places` decimals, zeros stripped.
+    """100*numer/denom truncated toward zero to `places` decimals, zeros
+    stripped; a result that truncates to zero prints "0", never "-0".
 
     Exact integer arithmetic; "10" rather than "10.0", "11.02" kept as is.
     """
     if denom <= 0:
         raise ParameterError("denominator must be positive")
-    scaled = numer * 100 * 10**places // denom
+    scaled = abs(numer) * 100 * 10**places // denom
     whole, frac = divmod(scaled, 10**places)
     digits = str(frac).rjust(places, "0").rstrip("0")
-    return f"{whole}.{digits}" if digits else str(whole)
+    sign = "-" if numer < 0 and scaled else ""
+    return sign + (f"{whole}.{digits}" if digits else str(whole))
 
 
 def table4() -> list[CostReport]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rns3 import converter
 from rns3.converter import (
     BitWord,
     bit_slice,
@@ -122,6 +123,15 @@ def test_csa_eac_width_mismatch():
         csa_eac(BitWord(0, 8), BitWord(0, 8), BitWord(0, 4))
 
 
+def test_stages_reject_non_bitword_operands():
+    w = BitWord(3, 2)
+    for call in (lambda: csa_eac(1, 2, 3), lambda: csa_eac(w, w, 3),
+                 lambda: mod_add_end_around(w, 5),
+                 lambda: mod_add_end_around(3, w)):
+        with pytest.raises(ParameterError, match="must be BitWords$"):
+            call()
+
+
 def test_csa_eac_identity_random():
     rng = random.Random(42)
     for width in (4, 8, 12, 16):
@@ -229,7 +239,7 @@ def test_summand_ints_match_reference_exhaustive():
         ms = make_moduli_set(n)
         for r1, r2, r3 in itertools.product(
                 range(ms.m1), range(ms.m2), range(ms.m3)):
-            assert summand_ints(ms, r1, r2, r3) == \
+            assert summand_ints(ms.n, r1, r2, r3) == \
                 _reference_summands(ms, r1, r2, r3)
 
 
@@ -241,7 +251,7 @@ def test_summand_ints_match_reference_sampled_with_edges():
         drawn = [tuple(rng.choice((0, m - 1, rng.randrange(m)))
                        for m in ms.moduli()) for _ in range(200)]
         for r1, r2, r3 in edges + drawn:
-            assert summand_ints(ms, r1, r2, r3) == \
+            assert summand_ints(ms.n, r1, r2, r3) == \
                 _reference_summands(ms, r1, r2, r3)
 
 
@@ -293,6 +303,18 @@ def test_decode_trace_worked_example():
     assert (t.sum, t.carry) == (BitWord(85, 8), BitWord(195, 8))
     assert t.y == BitWord(25, 8)
     assert t.x == BitWord(100, 10)
+
+
+def test_decode_trace_runs_each_public_stage_once(monkeypatch):
+    calls = []
+    for name in ("prepare_operands", "csa_eac", "mod_add_end_around"):
+        def spy(*args, real=getattr(converter, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(converter, name, spy)
+    ms = make_moduli_set(3)
+    assert decode_trace(ms, forward_convert(ms, 1234)).x == BitWord(1234, 15)
+    assert calls == ["prepare_operands", "csa_eac", "mod_add_end_around"]
 
 
 def test_decode_trace_matches_fast_path_exhaustive():

@@ -68,19 +68,19 @@ def test_hw_bill_ours_counted_matches_closed_forms():
 
 def _miswire_s31(monkeypatch, keep):
     """Replace converter.summand_ints with one whose S31 keeps only the bits
-    that keep(ms) selects."""
+    that keep(n) selects."""
     real = converter.summand_ints
 
-    def summand_ints(ms, r1, r2, r3):
-        s1, s2, s31 = real(ms, r1, r2, r3)
-        return s1, s2, s31 & keep(ms)
+    def summand_ints(n, r1, r2, r3):
+        s1, s2, s31 = real(n, r1, r2, r3)
+        return s1, s2, s31 & keep(n)
 
     monkeypatch.setattr(converter, "summand_ints", summand_ints)
 
 
 def test_hw_bill_ours_follows_the_summand_wiring(monkeypatch):
     # S31 without its top n+1 bits: those columns keep two wires beside a 0.
-    _miswire_s31(monkeypatch, lambda ms: (1 << 3 * ms.n - 1) - 1)
+    _miswire_s31(monkeypatch, lambda n: (1 << 3 * n - 1) - 1)
     b = hw_bill(ConverterDesign(Design.OURS, 4))
     assert (b.inverters, b.full_adders, b.xor_and_pairs, b.xnor_or_pairs) == \
         (13, 1, 12, 3)
@@ -88,7 +88,7 @@ def test_hw_bill_ours_follows_the_summand_wiring(monkeypatch):
 
 
 def test_hw_bill_ours_rejects_a_column_with_one_wire(monkeypatch):
-    _miswire_s31(monkeypatch, lambda ms: 0)
+    _miswire_s31(monkeypatch, lambda n: 0)
     with pytest.raises(ParameterError, match="fewer than two wires"):
         hw_bill(ConverterDesign(Design.OURS, 4))
 
@@ -190,6 +190,11 @@ def test_truncate_pct():
     assert truncate_pct(2, 20, 1) == "10"          # exact, zeros stripped
     assert truncate_pct(1, 8, 1) == "12.5"
     assert truncate_pct(0, 7, 2) == "0"
+    # negative percentages truncate toward zero, and never print "-0"
+    assert truncate_pct(-1, 3, 2) == "-33.33"      # -33.333...
+    assert truncate_pct(-2, 14, 1) == "-14.2"
+    assert truncate_pct(-2, 20, 1) == "-10"
+    assert truncate_pct(-1, 1000, 0) == "0"        # -0.1 truncates to 0
     with pytest.raises(ParameterError):
         truncate_pct(1, 0, 2)
 
