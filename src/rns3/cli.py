@@ -155,21 +155,44 @@ def _roundtrip_fails(ms, x):
         yield x
 
 
+def _fold_mod_mersenne(v, k):
+    """v mod 2^k - 1 for v >= 0: the k-bit chunks of v added end around,
+    all-ones -> 0.  No division, and no rns3 call, so the references that
+    use it stay independent of the library they check."""
+    mask = (1 << k) - 1
+    while v > mask:
+        v = (v & mask) + (v >> k)
+    return 0 if v == mask else v
+
+
+def _reduce_mod_M(ms, v):
+    """v mod M = 2^n * (2^(4n) - 1) for v >= 0: the low n bits stay, the
+    rest is folded mod 2^(4n) - 1."""
+    n = ms.n
+    return (v & ((1 << n) - 1)) | _fold_mod_mersenne(v >> n, 4 * n) << n
+
+
 def _lemma_fails(ms, triple):
     """The triple if an operand word misses its coefficient product mod 2^(4n)-1."""
     r1, r2, r3 = triple
     n = ms.n
-    modw = (1 << 4 * n) - 1
+    w = 4 * n
     s1 = converter.r1_summand(ms, r1).value
     s2 = converter.r2_summand(ms, r2).value
     s31 = converter.r3_rot_summand(ms, r3).value
     s32 = converter.r3_comp_summand(ms, r3).value
     s1p = converter.merged_summand(ms, r1, r3).value
+
+    def same(u, v):
+        return _fold_mod_mersenne(u, w) == _fold_mod_mersenne(v, w)
+
+    # The coefficients -2^(3n), 2^(3n-1) + 2^(n-1) and 2^(3n-1) - 2^(n-1),
+    # applied as shifts; r1 << 3n < 2^(4n) - 1, so the first side is >= 0.
     if not (
-        s1 % modw == (-(1 << 3 * n) * r1) % modw
-        and s2 % modw == ((1 << 3 * n - 1) + (1 << n - 1)) * r2 % modw
-        and (s31 + s32) % modw == ((1 << 3 * n - 1) - (1 << n - 1)) * r3 % modw
-        and (s1 + s32) % modw == s1p % modw
+        same(s1, ((1 << w) - 1) - (r1 << 3 * n))
+        and same(s2, (r2 << 3 * n - 1) + (r2 << n - 1))
+        and same(s31 + s32, (r3 << 3 * n - 1) - (r3 << n - 1))
+        and same(s1 + s32, s1p)
     ):
         yield triple
 
@@ -188,7 +211,9 @@ def _homomorphism_fails(ms, case):
     x, y = case
     a, b = core.forward_convert(ms, x), core.forward_convert(ms, y)
     for op in channels.CHANNEL_OPS:
-        want = core.forward_convert(ms, _REFERENCE[op](x, y) % ms.M)
+        # sub as x - y + M, so the value reduced is never negative.
+        v = x - y + ms.M if op == "sub" else _REFERENCE[op](x, y)
+        want = core.forward_convert(ms, _reduce_mod_M(ms, v))
         if channels.rns_op(ms, op, a, b) != want:
             yield x, y, op
 

@@ -240,8 +240,13 @@ def truncate_pct(numer: int, denom: int, places: int) -> str:
 
     Exact integer arithmetic; "10" rather than "10.0", "11.02" kept as is.
     """
+    if not all(type(v) is int for v in (numer, denom, places)):
+        raise ParameterError(
+            f"truncate_pct needs ints, got {numer!r}, {denom!r}, {places!r}")
     if denom <= 0:
         raise ParameterError("denominator must be positive")
+    if places < 0:
+        raise ParameterError(f"places must be >= 0, got {places}")
     scaled = abs(numer) * 100 * 10**places // denom
     whole, frac = divmod(scaled, 10**places)
     digits = str(frac).rjust(places, "0").rstrip("0")

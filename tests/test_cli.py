@@ -1,13 +1,17 @@
 """Command-line contract: output formats, exit codes, determinism."""
 
+import operator
 import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import repeat
 from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rns3 import channels, cli, converter, core
 from rns3.cli import main
@@ -97,10 +101,82 @@ def _verify_text(values, lemmas, homs):
     (("--n", "3", "--exhaustive"), _verify_text(32760, 583, 25774)),
     (("--n", "16", "--random", "--samples", "500", "--seed", "7"),
      _verify_text(500, 500, 500)),
+    (("--n", "4096", "--random", "--samples", "40", "--seed", "1"),
+     _verify_text(40, 40, 40)),
 ])
 def test_verify_output(capsys, argv, expected):
     code, out, err = run(capsys, "verify", *argv)
     assert (code, out, err) == (0, expected, "")
+
+
+# The checker's references reduce by end-around folds; these pin the folds
+# to Python's remainder, on every v in [0, M^2) that a product can reach.
+@pytest.mark.parametrize("n", [1, 2])
+def test_checker_folds_match_remainder_exhaustive(n):
+    ms = core.make_moduli_set(n)
+    M, W = ms.M, (1 << 4 * n) - 1
+    vs = range(M * M)
+    assert all(map(operator.eq, map(cli._fold_mod_mersenne, vs, repeat(4 * n)),
+                   map(operator.mod, vs, repeat(W))))
+    assert all(map(operator.eq, map(cli._reduce_mod_M, repeat(ms), vs),
+                   map(operator.mod, vs, repeat(M))))
+
+
+@st.composite
+def set_and_square_range_value(draw):
+    """A moduli set with n up to 4096 and a value in [0, M^2)."""
+    ms = core.make_moduli_set(draw(st.one_of(st.integers(1, 8),
+                                             st.integers(1, 4096))))
+    return ms, draw(st.integers(0, ms.M ** 2 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(set_and_square_range_value())
+def test_checker_folds_match_remainder(case):
+    ms, v = case
+    n, M = ms.n, ms.M
+    W = (1 << 4 * n) - 1
+    # The edges are checked on every example, next to the drawn value.
+    for u in (0, M - 1, M, (M - 1) ** 2, W, W + 1, W * W, v):
+        assert cli._fold_mod_mersenne(u, 4 * n) == u % W
+        assert cli._reduce_mod_M(ms, u) == u % M
+
+
+def test_verify_catches_wrong_product_at_large_n(capsys, monkeypatch):
+    rns_op = channels.rns_op
+
+    def r2_off_by_one_for_mul(ms, op, a, b):
+        rv = rns_op(ms, op, a, b)
+        if op != "mul":
+            return rv
+        return core.ResidueVector(rv.r1, (rv.r2 + 1) % ms.m2, rv.r3)
+
+    monkeypatch.setattr(channels, "rns_op", r2_off_by_one_for_mul)
+    code, out, _ = run(capsys, "verify", "--n", "1024", "--random",
+                       "--samples", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:3] == ["roundtrip: checked 5, failed 0",
+                         "operand lemmas: checked 5, failed 0",
+                         "homomorphism: checked 5, failed 5"]
+    assert lines[3].startswith("homomorphism failures (first 10 of 5): (")
+    assert lines[3].count(", 'mul')") == 5
+    assert lines[4:] == ["checked 5 values, 5 failures"]
+
+
+def test_verify_catches_wrong_operand_word_at_large_n(capsys, monkeypatch):
+    r2_summand = converter.r2_summand
+    monkeypatch.setattr(converter, "r2_summand", lambda ms, r2: converter.BitWord(
+        r2_summand(ms, r2).value ^ 1, 4 * ms.n))
+    code, out, _ = run(capsys, "verify", "--n", "1024", "--random",
+                       "--samples", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:3] == ["roundtrip: checked 5, failed 0",
+                         "operand lemmas: checked 5, failed 5",
+                         "homomorphism: checked 5, failed 0"]
+    assert lines[3].startswith("operand lemmas failures (first 10 of 5): (")
+    assert lines[4:] == ["checked 5 values, 5 failures"]
 
 
 def test_verify_lists_roundtrip_and_lemma_failures(capsys, monkeypatch):

@@ -199,6 +199,18 @@ def test_truncate_pct():
         truncate_pct(1, 0, 2)
 
 
+@pytest.mark.parametrize("args", [
+    (1, 3, -1),       # gave '29.0.0.09999999999999984'
+    (1.5, 3, 2),      # gave '50.0.0.'
+    (1, 3, 2.0),
+    (True, 3, 2),
+    (1, 3.0, 2),
+])
+def test_truncate_pct_rejects_bad_arguments(args):
+    with pytest.raises(ParameterError):
+        truncate_pct(*args)
+
+
 def test_table4_all_cells():
     rows = table4()
     assert len(rows) == 4
