@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import functools
 import itertools
 import operator
+import os
 import sys
 import time
 from random import Random
@@ -75,6 +77,7 @@ def _show(value) -> str:
     return format_decimal(value) if isinstance(value, int) else repr(value)
 
 
+@functools.cache  # built once per process; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rns3",
@@ -86,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--n", type=parse_positive, required=True,
                      help="set size parameter")
     enc.add_argument("x", type=parse_uint, help="value in [0, M)")
-    enc.set_defaults(func=cmd_encode)
 
     dec = sub.add_parser("decode", help="residue triple to integer")
     dec.add_argument("--n", type=parse_positive, required=True)
@@ -95,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("r1", type=parse_uint)
     dec.add_argument("r2", type=parse_uint)
     dec.add_argument("r3", type=parse_uint)
-    dec.set_defaults(func=cmd_decode)
 
     ver = sub.add_parser("verify", help="roundtrip / lemma / homomorphism campaign")
     ver.add_argument("--n", type=parse_positive, required=True)
@@ -105,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--random", action="store_true", help="sampled campaign")
     ver.add_argument("--samples", type=parse_positive, default=10000)
     ver.add_argument("--seed", type=parse_uint, default=0)
-    ver.set_defaults(func=cmd_verify)
 
     cst = sub.add_parser("costs", help="unit-gate cost tables")
     cst.add_argument("--table", type=parse_uint, required=True,
@@ -116,13 +116,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="size parameter for tables 1-3")
     cst.add_argument("--m", type=parse_positive,
                      help="classic-set width override for tables 1-2")
-    cst.set_defaults(func=cmd_costs)
 
     ben = sub.add_parser("bench", help="micro-benchmarks")
     ben.add_argument("--n", type=parse_positive, required=True)
     ben.add_argument("--iters", type=parse_positive, default=10000)
     ben.add_argument("--seed", type=parse_uint, default=0)
-    ben.set_defaults(func=cmd_bench)
+    ben.add_argument("--format", choices=("text", "json"), default="text",
+                     help="json: one object with the machine, n and iters "
+                          "beside the timings")
 
     return parser
 
@@ -320,9 +321,28 @@ def cmd_bench(args) -> int:
     # of the machine slows one pass of each, not every pass of one.
     rounds = [[clock(fn, build()) for _, fn, build in benches]
               for _ in range(BENCH_REPEATS)]
-    for (label, _, _), passes in zip(benches, zip(*rounds)):
-        per_op = min(passes) / args.iters
-        print(f"{label}: {per_op * 1e6:.3f} us/op ({args.iters} iters)")
+    us_per_op = {label: min(passes) / args.iters * 1e6
+                 for (label, _, _), passes in zip(benches, zip(*rounds))}
+    if args.format == "json":
+        # Imported here: at module level they add ~5 ms to every command.
+        import json
+        import platform
+
+        # Rounded as the text output rounds them, beside the interpreter,
+        # the platform, the CPUs this process may use, n and the iterations.
+        print(json.dumps({
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+            "nproc": (len(os.sched_getaffinity(0))
+                      if hasattr(os, "sched_getaffinity") else os.cpu_count()),
+            "n": args.n,
+            "iters": args.iters,
+            "repeats": BENCH_REPEATS,
+            "us_per_op": {label: round(us, 3) for label, us in us_per_op.items()},
+        }))
+        return EXIT_OK
+    for label, us in us_per_op.items():
+        print(f"{label}: {us:.3f} us/op ({args.iters} iters)")
     return EXIT_OK
 
 
@@ -333,7 +353,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        # Looked up by name on each call, not bound into the parser, which
+        # is built once: a command replaced on this module still runs.
+        return globals()[f"cmd_{args.command}"](args)
     except RnsError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE

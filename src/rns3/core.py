@@ -12,11 +12,15 @@ lo, mid and hi; since 2^(2n) is 1 modulo 2^(2n)-1 and -1 modulo
 2^(2n)+1, the residues are the chunk sums lo + mid + hi and lo - mid + hi,
 each brought into range in a fixed number of steps.  crt_reconstruct is
 the weighted-sum decoder used as the correctness oracle for the bit-level
-converter.  Everything is arbitrary precision, so n is unbounded.
+converter; it applies the weights above as shifts and rotations, with no
+multiplication or division, and stays independent of the library because
+a test pins it to a textbook CRT that calls no rns3 code.  Everything is
+arbitrary precision, so n is unbounded.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +38,7 @@ class ModuliSet:
 
     The reverse converter's masks are derived from n once, here, so the
     hot path only reads them; channels() builds the channel ids on call.
+    Sets are frozen, and make_moduli_set shares one per n.
     """
 
     n: int
@@ -87,36 +92,42 @@ class ResidueVector:
 
 
 def make_moduli_set(n: int) -> ModuliSet:
-    """Build and validate the moduli set for size parameter n >= 1."""
+    """The validated moduli set for size parameter n >= 1.
+
+    Sets are frozen and shared, one per n: the sets of the 16 sizes used
+    last are kept, so a repeated call returns the same object, built and
+    checked once.
+    """
+    # Type-check before the cache lookup: True == 1 and the two hash alike.
     if type(n) is not int:
         raise ParameterError(f"set parameter n must be an int, got {n!r}")
     if n < 1:
         raise ParameterError(f"set parameter n must be >= 1, got {n}")
+    return _moduli_set(n)
+
+
+@functools.lru_cache(maxsize=16)
+def _moduli_set(n: int) -> ModuliSet:
     m1, m2, m3 = 1 << n, (1 << 2 * n) - 1, (1 << 2 * n) + 1
-    M = m1 * m2 * m3
+    mhat1 = (1 << 4 * n) - 1  # = m2 * m3; every M // m_i is a shift
     ms = ModuliSet(
-        n=n, m1=m1, m2=m2, m3=m3, M=M,
-        mhat1=M // m1, mhat2=M // m2, mhat3=M // m3,
+        n=n, m1=m1, m2=m2, m3=m3, M=mhat1 << n,
+        mhat1=mhat1, mhat2=m3 << n, mhat3=m2 << n,
         inv1=m1 - 1, inv2=1 << (n - 1), inv3=1 << (n - 1),
     )
     # Failures here are library defects, not user errors; they are checked
-    # explicitly so that they also hold under python -O.
+    # explicitly so that they also hold under python -O.  A build that
+    # raises is not cached.
     if not pairwise_coprime([m1, m2, m3]):
         raise ParameterError(f"moduli {ms.moduli()} are not pairwise coprime")
     _check_weights(ms)
     return ms
 
 
-def _weight_rows(ms: ModuliSet):
-    return (
-        (ms.mhat1, ms.inv1, ms.m1),
-        (ms.mhat2, ms.inv2, ms.m2),
-        (ms.mhat3, ms.inv3, ms.m3),
-    )
-
-
 def _check_weights(ms: ModuliSet) -> None:
-    for mhat, inv, m in _weight_rows(ms):
+    for mhat, inv, m in ((ms.mhat1, ms.inv1, ms.m1),
+                         (ms.mhat2, ms.inv2, ms.m2),
+                         (ms.mhat3, ms.inv3, ms.m3)):
         if mhat * inv % m != 1:
             raise ParameterError(
                 f"weight {inv} is not the inverse of {mhat} modulo {m}")
@@ -168,15 +179,28 @@ def forward_convert(ms: ModuliSet, x: int) -> ResidueVector:
 def crt_reconstruct(ms: ModuliSet, rv: ResidueVector) -> int:
     """The unique X in [0, M) with the given residues, by weighted sum.
 
-    Each term mhat_i * |inv_i * r_i|_{m_i} is reduced modulo M before the
-    sum, so intermediates never exceed 3M; the final reduction also folds
-    away the integer multiple of M the raw sum carries.
+    X = sum of mhat_i * |inv_i * r_i|_{m_i} modulo M, with every product
+    taken in closed form: t1 = -r1 mod 2^n, t2 is r2 rotated left by n - 1
+    in 2n bits, t3 is r3 << n - 1 folded once modulo 2^(2n) + 1, and the
+    mhats are shifts.  Each term is below M, so the sum is below 3M.
     """
-    validate_residues(ms, rv)
-    total = 0
-    for (mhat, inv, m), r in zip(_weight_rows(ms), rv.astuple()):
-        total += mhat * (inv * r % m) % ms.M
-    return total % ms.M
+    r1, r2, r3 = rv.r1, rv.r2, rv.r3
+    if not (type(r1) is int and type(r2) is int and type(r3) is int
+            and 0 <= r1 < ms.m1 and 0 <= r2 < ms.m2 and 0 <= r3 < ms.m3):
+        validate_residues(ms, rv)  # raises, naming the residue and modulus
+    n, m2, M = ms.n, ms.m2, ms.M
+    t1 = -r1 & (ms.m1 - 1)
+    t2 = ((r2 << n - 1) & m2) | (r2 >> n + 1)
+    t3 = r3 << n - 1
+    t3 = (t3 & m2) - (t3 >> 2 * n)  # 2^(2n) is -1 modulo m3
+    if t3 < 0:
+        t3 += ms.m3
+    x = (t1 << 4 * n) - t1 + ((t2 + t3) << 3 * n) + ((t2 - t3) << n)
+    if x >= M:
+        x -= M
+        if x >= M:
+            x -= M
+    return x
 
 
 def inverse_constants(ms: ModuliSet) -> tuple[int, int, int]:

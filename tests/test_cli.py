@@ -1,7 +1,9 @@
 """Command-line contract: output formats, exit codes, determinism."""
 
+import json
 import operator
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -308,6 +310,43 @@ def test_bench_minimal(capsys):
     code, out, _ = run(capsys, "bench", "--n", "16", "--iters", "100")
     assert code == 0
     assert out.startswith("forward_convert:")
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["costs", "--table", "4", "--format", "csv"])
+    again = parser.parse_args(["costs", "--table", "4"])
+    assert (first.format, again.format) == ("csv", "text")
+    traced = parser.parse_args(["decode", "--n", "2", "--trace", "1", "2", "3"])
+    plain = parser.parse_args(["decode", "--n", "2", "1", "2", "3"])
+    assert (traced.trace, plain.trace) == (True, False)
+
+
+def test_command_replaced_on_the_module_runs(capsys, monkeypatch):
+    # The parser is built once, so commands are found by name per call.
+    cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_encode", lambda args: print("stub") or 0)
+    assert run(capsys, "encode", "--n", "2", "100") == (0, "stub\n", "")
+
+
+def test_bench_json_schema(capsys):
+    code, out, _ = run(capsys, "bench", "--n", "2", "--iters", "3",
+                       "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert set(record) == {"python", "platform", "nproc", "n", "iters",
+                           "repeats", "us_per_op"}
+    assert record["python"] == platform.python_version()
+    assert isinstance(record["platform"], str) and record["platform"]
+    assert type(record["nproc"]) is int and record["nproc"] >= 1
+    assert (record["n"], record["iters"]) == (2, 3)
+    assert record["repeats"] == cli.BENCH_REPEATS
+    assert list(record["us_per_op"]) == [
+        "forward_convert", "reverse_convert", "crt_reconstruct",
+        "rns_op add", "rns_op sub", "rns_op mul"]
+    assert all(type(us) is float and us >= 0
+               for us in record["us_per_op"].values())
 
 
 def test_bench_memory_does_not_grow_with_iters(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Moduli set construction, forward conversion and the weighted-sum decoder."""
 
 import dataclasses
+import functools
 import os
 import random
 import subprocess
@@ -48,20 +49,41 @@ def test_make_moduli_set_n1():
 
 
 def test_make_moduli_set_rejects_nonpositive():
-    with pytest.raises(ParameterError):
-        make_moduli_set(0)
-    with pytest.raises(ParameterError):
-        make_moduli_set(-3)
+    make_moduli_set(1)  # cached, and 0 and -1 must not reach the cache
+    for n in (0, -1, -3):
+        with pytest.raises(ParameterError, match="must be >= 1"):
+            make_moduli_set(n)
 
 
 def test_make_moduli_set_rejects_non_int():
-    for n in (True, 2.0, "2"):
+    make_moduli_set(1)  # cached; True == 1 and 1.0 == 1 must not hit it
+    for n in (True, 1.0, 2.0, "2"):
         with pytest.raises(ParameterError, match="must be an int"):
             make_moduli_set(n)
 
 
+def test_make_moduli_set_shares_one_set_per_n():
+    ms = make_moduli_set(4096)
+    assert make_moduli_set(4096) is ms
+    assert make_moduli_set(1) is make_moduli_set(1)
+    assert make_moduli_set(2) is not make_moduli_set(1)
+
+
+def test_failed_build_is_not_cached(monkeypatch):
+    builder = functools.lru_cache(maxsize=None)(core._moduli_set.__wrapped__)
+    monkeypatch.setattr(core, "_moduli_set", builder)
+    with monkeypatch.context() as broken:
+        broken.setattr(core, "pairwise_coprime", lambda values: False)
+        with pytest.raises(ParameterError, match="not pairwise coprime"):
+            make_moduli_set(5)
+    assert builder.cache_info().currsize == 0
+    ms = make_moduli_set(5)
+    assert make_moduli_set(5) is ms and ms.moduli() == (32, 1023, 1025)
+
+
 def test_moduli_set_product_invariants():
-    for n in (1, 2, 3, 5, 17, 64):
+    # mhat_i * m_i == M pins the shift-built weights to M // m_i.
+    for n in [*range(1, 65), 1024, 4096]:
         ms = make_moduli_set(n)
         assert ms.m1 * ms.m2 * ms.m3 == ms.M
         assert ms.mhat1 * ms.m1 == ms.M
@@ -200,6 +222,45 @@ def test_crt_reconstruct_examples():
         assert crt_reconstruct(make_moduli_set(n), ResidueVector(0, 0, 0)) == 0
 
 
+def textbook_crt(n, residues):
+    """Independent oracle for crt_reconstruct: the CRT weighted sum over the
+    moduli written out from n, with weights by division and inverses by
+    pow.  It calls no rns3 code."""
+    moduli = (1 << n, (1 << 2 * n) - 1, (1 << 2 * n) + 1)
+    M = moduli[0] * moduli[1] * moduli[2]
+    return sum(r * (M // m) * pow(M // m, -1, m)
+               for r, m in zip(residues, moduli)) % M
+
+
+def test_crt_reconstruct_matches_textbook_crt_exhaustive_small_n():
+    for n in (1, 2, 3):
+        ms = make_moduli_set(n)
+        for r1 in range(ms.m1):
+            for r2 in range(ms.m2):
+                for r3 in range(ms.m3):
+                    want = textbook_crt(n, (r1, r2, r3))
+                    assert crt_reconstruct(ms, ResidueVector(r1, r2, r3)) == want
+
+
+@st.composite
+def set_and_residues(draw):
+    """A moduli set with n up to 4096 and residues drawn from the edges
+    {0, m - 1} or uniformly."""
+    n = draw(st.one_of(st.integers(1, 8), st.integers(1, 4096)))
+    ms = make_moduli_set(n)
+    return ms, tuple(
+        draw(st.one_of(st.sampled_from((0, m - 1)), st.integers(0, m - 1)))
+        for m in ms.moduli())
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_and_residues())
+def test_crt_reconstruct_matches_textbook_crt_property(case):
+    ms, residues = case
+    want = textbook_crt(ms.n, residues)
+    assert crt_reconstruct(ms, ResidueVector(*residues)) == want
+
+
 def test_crt_reconstruct_rejects_bad_residue():
     ms = make_moduli_set(2)
     with pytest.raises(ResidueError):
@@ -251,6 +312,8 @@ def test_roundtrip_random_large_n():
 
 
 def test_set_invariants_are_checked_without_assert(monkeypatch):
+    # Bypass the set cache, so that n = 4 is built here, not looked up.
+    monkeypatch.setattr(core, "_moduli_set", core._moduli_set.__wrapped__)
     monkeypatch.setattr(core, "pairwise_coprime", lambda values: False)
     with pytest.raises(ParameterError, match="not pairwise coprime"):
         make_moduli_set(4)
