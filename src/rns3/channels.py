@@ -59,6 +59,9 @@ class ChannelId:
     modulus: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.kind, ChannelKind):
+            raise ParameterError(
+                f"channel kind {self.kind!r} is not a ChannelKind")
         if type(self.k) is not int:
             raise ParameterError(f"channel width {self.k!r} is not an int")
         if self.k < 1:

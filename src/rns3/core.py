@@ -23,9 +23,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from rns3.channels import ChannelId, ChannelKind
 from rns3.errors import OutOfRangeError, ParameterError, ResidueError
+
+if TYPE_CHECKING:
+    from rns3.channels import ChannelId
 
 
 def _derived():
@@ -65,6 +68,10 @@ class ModuliSet:
         return (self.m1, self.m2, self.m3)
 
     def channels(self) -> tuple[ChannelId, ChannelId, ChannelId]:
+        # Imported on call, so that loading core does not load channels:
+        # only rns_op's error path and verify --exhaustive call this.
+        from rns3.channels import ChannelId, ChannelKind
+
         n = self.n
         return (ChannelId(ChannelKind.POW2, n),
                 ChannelId(ChannelKind.POW2_MINUS1, 2 * n),

@@ -85,6 +85,8 @@ class ConverterDesign:
     size: int
 
     def __post_init__(self):
+        if not isinstance(self.tag, Design):
+            raise ParameterError(f"design tag {self.tag!r} is not a Design")
         if type(self.size) is not int:
             raise ParameterError(f"design size must be an int, got {self.size!r}")
         if self.size < 1:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the pass/fail lines
 and timings.
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -11,6 +12,9 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+import pytest
+
+import rns3
 from rns3.channels import channel_op, rns_op
 from rns3.converter import (
     BitWord,
@@ -217,3 +221,106 @@ def test_criterion_9_csv_byte_stability():
         )
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN.read_bytes()
+
+
+# The package's public names load their submodule on first read.  Which
+# modules a process has loaded is process state, so those checks run in
+# fresh interpreters.
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+SUBMODULES = ("errors", "channels", "core", "converter", "costs", "cli")
+
+
+def fresh_python(code):
+    """Run code in a new interpreter importing rns3 from this checkout."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_after(statement):
+    return fresh_python(
+        f"import sys\n{statement}\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'rns3'))"
+    ).split()
+
+
+def test_import_rns3_loads_no_submodule():
+    # dir() lists every export without loading any.
+    assert loaded_after(
+        "import rns3\n"
+        "assert set(rns3.__all__) <= set(dir(rns3))") == ["rns3"]
+
+
+def test_codec_import_leaves_channels_and_costs_unloaded():
+    assert loaded_after("from rns3 import converter, core") == \
+        ["rns3", "rns3.converter", "rns3.core", "rns3.errors"]
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_each_submodule_can_be_imported_first(module):
+    out = fresh_python(
+        f"import rns3.{module}\n"
+        "import rns3\n"
+        "print(len([getattr(rns3, name) for name in rns3.__all__]))")
+    assert out == f"{len(rns3.__all__)}\n"
+
+
+def test_channels_loads_on_demand_for_moduli_set_channels():
+    out = fresh_python(
+        "import sys\n"
+        "from rns3.core import make_moduli_set\n"
+        "assert 'rns3.channels' not in sys.modules\n"
+        "print(*((c.kind.value, c.k, c.modulus)\n"
+        "        for c in make_moduli_set(3).channels()))")
+    assert out == "('pow2', 3, 8) ('pow2_minus1', 6, 63) ('pow2_plus1', 6, 65)\n"
+
+
+# The public API: these names, in this order, are a contract.
+PUBLIC_NAMES = """
+    BitWord ChannelAdder ChannelId ChannelKind ConverterDesign
+    CostReport Design GateCosts HwBill ModuliSet OperandSet
+    OutOfRangeError ParameterError ResidueError ResidueVector RnsError
+    area_total channel_adder_delay channel_op crt_reconstruct csa_eac
+    decode_trace delay_total emit_table forward_convert hw_bill
+    inverse_constants make_moduli_set mod_add_end_around
+    neg_mod_pow2_minus1 pairwise_coprime prepare_operands reduce_mod
+    reverse_convert rns_op rotl_mod_pow2_minus1 table4 validate_residues
+""".split()
+
+
+def test_exports_are_the_defining_modules_objects():
+    assert rns3.__all__ == PUBLIC_NAMES
+    for name in rns3.__all__:
+        obj = getattr(rns3, name)
+        assert obj.__module__.startswith("rns3.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from rns3 import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == rns3.__all__
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "summand_ints", "Enum"])
+def test_unknown_name_raises_attribute_error(name):
+    # summand_ints and Enum are module-level names of submodules, but
+    # not exports.
+    with pytest.raises(AttributeError, match=name):
+        getattr(rns3, name)
+    assert not hasattr(rns3, name)
+
+
+def test_first_read_binds_the_name_into_the_package():
+    fresh_python(
+        "import rns3\n"
+        "assert 'decode_trace' not in vars(rns3)\n"
+        "f = rns3.decode_trace\n"
+        "assert vars(rns3)['decode_trace'] is f\n"
+        "assert f is rns3.converter.decode_trace")

@@ -41,6 +41,14 @@ def test_channel_id_rejects_non_int_width(k):
         ChannelId(POW2, k)
 
 
+@pytest.mark.parametrize("kind", ["pow2_plus1", "pow2", None, 1])
+def test_channel_id_rejects_non_kind(kind):
+    # A non-member would get the 2^k modulus, and channel_op would raise
+    # KeyError on it.
+    with pytest.raises(ParameterError):
+        ChannelId(kind, 2)
+
+
 def test_channel_modulus_is_a_derived_field():
     chan = ChannelId(PLUS1, 4)
     assert vars(chan)["modulus"] == 17

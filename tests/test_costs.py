@@ -128,6 +128,15 @@ def test_design_size_validation():
         ConverterDesign(Design.OURS, 0)
 
 
+@pytest.mark.parametrize(
+    "tag", ["ours", "ref11", None, ChannelAdder.MOD_HIASAT])
+def test_design_tag_must_be_a_design(tag):
+    # hw_bill would bill an unknown tag as ref11, and delay_total would
+    # raise KeyError on it.
+    with pytest.raises(ParameterError):
+        ConverterDesign(tag, 2)
+
+
 @pytest.mark.parametrize("bad", [2.0, True, "2", None])
 def test_sizes_must_be_int(bad):
     with pytest.raises(ParameterError):
