@@ -22,7 +22,9 @@ without a loop or a division:
 channel_op runs these kernels, for any width.  rns_op runs them fused,
 as one straight-line block per op over the set's channels of widths n,
 2n and 2n; the per-kind kernels are the reference its tests check it
-against.
+against.  rns_op checks no residue of an operand stamped with its set
+(see core.ResidueVector), checks every residue of any other vector, and
+stamps its result with the set.
 
 rotl_mod_pow2_minus1 and neg_mod_pow2_minus1 state two bit tricks:
 multiplying by 2^p modulo 2^k - 1 is a circular left shift of the k-bit
@@ -34,12 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
 
+from rns3.core import ModuliSet, ResidueVector, _canonical, _check_origin
 from rns3.errors import ParameterError, ResidueError
-
-if TYPE_CHECKING:
-    from rns3.core import ModuliSet, ResidueVector
 
 CHANNEL_OPS = ("add", "sub", "mul")
 
@@ -161,18 +160,25 @@ def channel_op(chan: ChannelId, op: str, a: int, b: int) -> int:
 
 def rns_op(ms: ModuliSet, op: str, a: ResidueVector, b: ResidueVector) -> ResidueVector:
     """Component-wise arithmetic on two residue vectors of the same set."""
+    try:
+        checked = a._set is ms and b._set is ms  # both canonical for ms
+    except AttributeError:  # not a vector; _check_origin raises
+        checked = False
+    if not checked:
+        _check_origin(ms, a)
+        _check_origin(ms, b)
     a1, a2, a3 = a.r1, a.r2, a.r3
     b1, b2, b3 = b.r1, b.r2, b.r3
     m1, m2, m3 = ms.m1, ms.m2, ms.m3
-    if not (op in CHANNEL_OPS
-            and type(a1) is int and type(a2) is int and type(a3) is int
+    if not (checked
+            or type(a1) is int and type(a2) is int and type(a3) is int
             and type(b1) is int and type(b2) is int and type(b3) is int
             and 0 <= a1 < m1 and 0 <= a2 < m2 and 0 <= a3 < m3
             and 0 <= b1 < m1 and 0 <= b2 < m2 and 0 <= b3 < m3):
-        # channel_op checks the operands, then op, and names what fails.
-        c1, c2, c3 = ms.channels()
-        return type(a)(channel_op(c1, op, a1, b1), channel_op(c2, op, a2, b2),
-                       channel_op(c3, op, a3, b3))
+        # A residue is not canonical: channel_op, which checks a channel's
+        # operands and then op, raises on its channel and names it.
+        for chan, u, v in zip(ms.channels(), (a1, a2, a3), (b1, b2, b3)):
+            channel_op(chan, op, u, v)
     # The three kernels, fused for widths n, w and w: the 2^w - 1 channel
     # shares one fold after every op, and m3 - 2 == m2 is the w-bit mask of
     # the 2^w + 1 channel's product fold.
@@ -187,15 +193,15 @@ def rns_op(ms: ModuliSet, op: str, a: ResidueVector, b: ResidueVector) -> Residu
         t1 = a1 + b1
         t2 = a2 + b2
         t3 = a3 + b3 - m3
-    else:
+    elif op == "sub":
         t1 = a1 - b1
         t2 = a2 - b2 + m2
         t3 = a3 - b3
+    else:
+        raise ParameterError(f"unknown channel op {op!r}")
     t2 = (t2 & m2) + (t2 >> w)
-    # type(a) is ResidueVector, which core defines; core imports this
-    # module, so the class is not imported here.
-    return type(a)(t1 & (m1 - 1), 0 if t2 == m2 else t2,
-                   t3 + m3 if t3 < 0 else t3)
+    return _canonical(ms, t1 & (m1 - 1), 0 if t2 == m2 else t2,
+                      t3 + m3 if t3 < 0 else t3)
 
 
 def rotl_mod_pow2_minus1(v: int, k: int, p: int) -> int:

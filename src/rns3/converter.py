@@ -218,10 +218,13 @@ def reverse_convert(ms: ModuliSet, rv: ResidueVector) -> int:
     with no call or intermediate tuple; decode_trace runs them staged and
     is its reference.
     """
+    try:
+        checked = rv._set is ms  # stamped with ms: canonical for it
+    except AttributeError:  # not a vector; validate_residues raises
+        checked = False
+    if not checked:
+        validate_residues(ms, rv)
     r1, r2, r3 = rv.r1, rv.r2, rv.r3
-    if not (type(r1) is int and type(r2) is int and type(r3) is int
-            and 0 <= r1 < ms.m1 and 0 <= r2 < ms.m2 and 0 <= r3 < ms.m3):
-        validate_residues(ms, rv)  # raises, naming the residue and modulus
     n = ms.n
     mask, low = ms.word_mask, ms.low_mask
     a = mask ^ ((r1 << 3 * n) | (r3 << n - 1))                      # S1'

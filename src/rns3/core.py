@@ -80,11 +80,21 @@ class ModuliSet:
 
 @dataclass(frozen=True, init=False)
 class ResidueVector:
-    """Canonical residue triple; bit j of a residue weighs 2^j."""
+    """Canonical residue triple; bit j of a residue weighs 2^j.
+
+    A vector that forward_convert or rns_op returns carries a private
+    stamp: the ModuliSet its residues were made canonical for.  The entry
+    points trust a vector stamped with the set they are given, and reject
+    one stamped with a set of another n; any other vector is checked in
+    full.  The stamp is not a field, so fields(), repr, ==, hash and
+    dataclasses.replace ignore it, and replace(), copies and pickles
+    return unstamped vectors.
+    """
 
     r1: int
     r2: int
     r3: int
+    _set = None  # the stamp; vectors built by hand read this default
 
     def __init__(self, r1: int, r2: int, r3: int):
         # Frozen, so the generated __init__ would pay one slow
@@ -94,8 +104,42 @@ class ResidueVector:
         d["r2"] = r2
         d["r3"] = r3
 
+    def __getstate__(self):
+        # The fields without the stamp, so that pickles and copies are
+        # the same as those of a vector built by hand.
+        return {"r1": self.r1, "r2": self.r2, "r3": self.r3}
+
     def astuple(self) -> tuple[int, int, int]:
         return (self.r1, self.r2, self.r3)
+
+
+_new = object.__new__
+
+
+def _canonical(ms: ModuliSet, r1: int, r2: int, r3: int) -> ResidueVector:
+    """A vector of residues already canonical for ms, stamped with ms.
+
+    The one builder of stamped vectors; it runs no __init__ frame.
+    """
+    rv = _new(ResidueVector)
+    d = rv.__dict__
+    d["r1"] = r1
+    d["r2"] = r2
+    d["r3"] = r3
+    d["_set"] = ms
+    return rv
+
+
+def _check_origin(ms: ModuliSet, rv) -> None:
+    """Raise ResidueError if rv is not a ResidueVector, or is stamped with a
+    set of another n: the channel ranges of a smaller set nest in those of
+    a larger one, so range checks alone would let its residues through."""
+    if not isinstance(rv, ResidueVector):
+        raise ResidueError(f"expected a ResidueVector, got {rv!r}")
+    stamp = rv._set
+    if stamp is not None and stamp.n != ms.n:
+        raise ResidueError(f"the vector was built for the set of n={stamp.n}, "
+                           f"not for n={ms.n}")
 
 
 def make_moduli_set(n: int) -> ModuliSet:
@@ -154,8 +198,15 @@ def pairwise_coprime(values: list[int]) -> bool:
 
 
 def validate_residues(ms: ModuliSet, rv: ResidueVector) -> None:
-    """Raise ResidueError unless every residue is canonical for ms."""
-    for idx, (r, m) in enumerate(zip(rv.astuple(), ms.moduli()), start=1):
+    """Raise ResidueError unless rv is a ResidueVector, not stamped with a
+    set of another n, whose every residue is canonical for ms."""
+    _check_origin(ms, rv)
+    r1, r2, r3 = rv.r1, rv.r2, rv.r3
+    if (type(r1) is int and type(r2) is int and type(r3) is int
+            and 0 <= r1 < ms.m1 and 0 <= r2 < ms.m2 and 0 <= r3 < ms.m3):
+        return
+    # Find the first residue that fails, to name it and its modulus.
+    for idx, (r, m) in enumerate(zip((r1, r2, r3), ms.moduli()), start=1):
         if type(r) is not int:
             raise ResidueError(f"R{idx}={r!r} is not an int")
         if not 0 <= r < m:
@@ -168,8 +219,12 @@ def forward_convert(ms: ModuliSet, x: int) -> ResidueVector:
         raise OutOfRangeError(f"X must be an int, got {x!r}")
     if x < 0:
         raise OutOfRangeError("X must be >= 0")
-    if x >= ms.M:
-        raise OutOfRangeError(f"X must be < {ms.M}")
+    try:
+        M = ms.M
+    except AttributeError:
+        raise ParameterError(f"expected a ModuliSet, got {ms!r}") from None
+    if x >= M:
+        raise OutOfRangeError(f"X must be < {M}")
     w, m2, m3 = 2 * ms.n, ms.m2, ms.m3
     lo, mid, hi = x & m2, (x >> w) & m2, x >> 2 * w  # hi < 2^n
     r2 = lo + mid + hi  # below 3 * 2^w: two end-around folds
@@ -180,7 +235,7 @@ def forward_convert(ms: ModuliSet, x: int) -> ResidueVector:
         r3 += m3
     elif r3 >= m3:
         r3 -= m3
-    return ResidueVector(x & (ms.m1 - 1), 0 if r2 == m2 else r2, r3)
+    return _canonical(ms, x & (ms.m1 - 1), 0 if r2 == m2 else r2, r3)
 
 
 def crt_reconstruct(ms: ModuliSet, rv: ResidueVector) -> int:
@@ -191,10 +246,13 @@ def crt_reconstruct(ms: ModuliSet, rv: ResidueVector) -> int:
     in 2n bits, t3 is r3 << n - 1 folded once modulo 2^(2n) + 1, and the
     mhats are shifts.  Each term is below M, so the sum is below 3M.
     """
+    try:
+        checked = rv._set is ms  # stamped with ms: canonical for it
+    except AttributeError:  # not a vector; validate_residues raises
+        checked = False
+    if not checked:
+        validate_residues(ms, rv)
     r1, r2, r3 = rv.r1, rv.r2, rv.r3
-    if not (type(r1) is int and type(r2) is int and type(r3) is int
-            and 0 <= r1 < ms.m1 and 0 <= r2 < ms.m2 and 0 <= r3 < ms.m3):
-        validate_residues(ms, rv)  # raises, naming the residue and modulus
     n, m2, M = ms.n, ms.m2, ms.M
     t1 = -r1 & (ms.m1 - 1)
     t2 = ((r2 << n - 1) & m2) | (r2 >> n + 1)

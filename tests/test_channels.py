@@ -1,5 +1,6 @@
 """Channel reductions, channel/vector arithmetic and the two bit tricks."""
 
+import dataclasses
 import operator
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rns3 import channels
 from rns3.channels import (
     CHANNEL_OPS,
     ChannelId,
@@ -177,6 +179,71 @@ def test_rns_op_matches_channel_op_exhaustive(n):
                     assert rns_op(ms, op, a, b).astuple() == tuple(
                         channel_op(chan, op, u, v) for chan, u, v in
                         zip(ms.channels(), a.astuple(), b.astuple()))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rns_op_matches_channel_op_exhaustive_stamped(n):
+    # As above, with the operands from forward_convert: they carry the
+    # set's stamp, so rns_op skips its checks and runs the kernel directly.
+    ms = make_moduli_set(n)
+    mods = ms.moduli()
+    for m_i in mods:
+        for x in range(m_i):
+            a = forward_convert(ms, x)
+            for y in range(m_i):
+                b = forward_convert(ms, y)
+                for op in CHANNEL_OPS:
+                    assert rns_op(ms, op, a, b).astuple() == tuple(
+                        channel_op(chan, op, u, v) for chan, u, v in
+                        zip(ms.channels(), a.astuple(), b.astuple()))
+
+
+def test_rns_op_guards_only_unstamped_operands(monkeypatch):
+    seen = []
+    monkeypatch.setattr(channels, "_check_origin", lambda ms, rv: seen.append(rv))
+    ms = make_moduli_set(2)
+    a, b = forward_convert(ms, 100), forward_convert(ms, 57)
+    product = rns_op(ms, "mul", a, b)
+    assert rns_op(ms, "add", product, a) == forward_convert(ms, (100 * 57 + 100) % ms.M)
+    assert seen == []  # stamped operands and results skip the guard
+    hand = ResidueVector(*a.astuple())
+    checked = rns_op(ms, "mul", hand, b)
+    assert checked == product and seen == [hand, b]
+    rns_op(ms, "add", checked, a)
+    assert seen == [hand, b]  # a result of checked operands is stamped too
+
+
+def test_rns_op_rejects_a_tuple():
+    ms = make_moduli_set(2)
+    good = forward_convert(ms, 57)
+    for a, b in (((0, 10, 15), good), (good, (0, 10, 15))):
+        with pytest.raises(ResidueError, match=r"^expected a ResidueVector, got \(0, 10, 15\)$"):
+            rns_op(ms, "add", a, b)
+
+
+def test_rns_op_rejects_vectors_of_another_set():
+    # Every channel range of n = 2 nests in the one of n = 3, so the
+    # residues of a and b are in range there: only the stamps tell.
+    ms2, ms3 = make_moduli_set(2), make_moduli_set(3)
+    a, b = forward_convert(ms2, 17), forward_convert(ms2, 25)
+    mine, hand = forward_convert(ms3, 25), ResidueVector(1, 2, 3)
+    for x, y in ((a, b), (a, mine), (mine, a), (hand, b), (b, hand)):
+        with pytest.raises(ResidueError, match="^the vector was built for "
+                                               "the set of n=2, not for n=3$"):
+            rns_op(ms3, "add", x, y)
+
+
+def test_rns_op_checks_vectors_of_an_equal_set():
+    # A set equal to ms but not ms itself: its vectors are checked in full,
+    # then used, and the result is stamped with the set it was given.
+    ms = make_moduli_set(3)
+    twin = dataclasses.replace(ms)
+    assert twin == ms and twin is not ms
+    a, b = forward_convert(ms, 1000), forward_convert(ms, 77)
+    for op in CHANNEL_OPS:
+        assert rns_op(twin, op, a, b) == rns_op(ms, op, a, b)
+    with pytest.raises(ResidueError, match="out of range"):
+        rns_op(twin, "add", a, dataclasses.replace(b, r3=ms.m3))
 
 
 @st.composite

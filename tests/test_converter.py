@@ -326,6 +326,43 @@ def test_decode_trace_matches_fast_path_exhaustive():
             assert decode_trace(ms, rv).x.value == reverse_convert(ms, rv)
 
 
+def test_decode_trace_matches_fast_path_exhaustive_stamped():
+    # As above, with every vector from forward_convert: stamped with the
+    # set, so reverse_convert skips its checks.
+    for n in (1, 2):
+        ms = make_moduli_set(n)
+        for x in range(ms.M):
+            rv = forward_convert(ms, x)
+            assert decode_trace(ms, rv).x.value == reverse_convert(ms, rv) == x
+
+
+def test_reverse_convert_validates_only_unstamped_vectors(monkeypatch):
+    seen = []
+    monkeypatch.setattr(converter, "validate_residues",
+                        lambda ms, rv: seen.append(rv))
+    ms = make_moduli_set(2)
+    rv = forward_convert(ms, 100)
+    assert reverse_convert(ms, rv) == 100 and seen == []
+    hand = ResidueVector(0, 10, 15)
+    assert reverse_convert(ms, hand) == 100 and seen == [hand]
+
+
+@pytest.mark.parametrize("decode", [reverse_convert, decode_trace, prepare_operands])
+def test_decoders_reject_a_tuple(decode):
+    with pytest.raises(ResidueError, match=r"^expected a ResidueVector, got \(0, 10, 15\)$"):
+        decode(make_moduli_set(2), (0, 10, 15))
+
+
+@pytest.mark.parametrize("decode", [reverse_convert, decode_trace, prepare_operands])
+def test_decoders_reject_a_vector_of_another_set(decode):
+    # forward_convert(ms2, 17) is (1, 2, 0): in range for n = 3 as well,
+    # where it would decode to 65.
+    rv = forward_convert(make_moduli_set(2), 17)
+    with pytest.raises(ResidueError, match="^the vector was built for "
+                                           "the set of n=2, not for n=3$"):
+        decode(make_moduli_set(3), rv)
+
+
 @st.composite
 def set_and_residues(draw):
     """A moduli set with n up to 4096 and a residue vector of it, each

@@ -1,8 +1,10 @@
 """Moduli set construction, forward conversion and the weighted-sum decoder."""
 
+import copy
 import dataclasses
 import functools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -13,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rns3 import core
-from rns3.channels import reduce_mod
+from rns3.channels import reduce_mod, rns_op
+from rns3.converter import decode_trace, reverse_convert
 from rns3.core import (
     ResidueVector,
     crt_reconstruct,
@@ -196,6 +199,60 @@ def test_residue_vector_contract():
     assert dataclasses.replace(rv, r3=7) == ResidueVector(1, 2, 7)
     assert dataclasses.astuple(rv) == rv.astuple() == (1, 2, 3)
     assert [f.name for f in dataclasses.fields(rv)] == ["r1", "r2", "r3"]
+
+
+def test_stamped_vector_pickles_as_its_hand_built_twin():
+    # The stamp is not pickled or copied: a stamped vector and its twin
+    # built by hand give the same bytes, and copies come back unstamped.
+    for n in (1, 2, 16):
+        ms = make_moduli_set(n)
+        rv = forward_convert(ms, ms.M - 1)
+        twin = ResidueVector(*rv.astuple())
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(rv, protocol) == pickle.dumps(twin, protocol)
+        for other in (copy.copy(rv), copy.deepcopy(rv), pickle.loads(pickle.dumps(rv))):
+            assert other == rv and vars(other) == vars(twin)
+
+
+# Each entry point, with rv as its (first) vector operand.
+ENTRY_POINTS = {
+    "crt_reconstruct": crt_reconstruct,
+    "reverse_convert": reverse_convert,
+    "decode_trace": decode_trace,
+    "rns_op": lambda ms, rv: rns_op(ms, "add", rv, forward_convert(ms, 1)),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_replaced_or_unpickled_vectors_are_checked_in_full(call):
+    ms2, ms3 = make_moduli_set(2), make_moduli_set(3)
+    replaced = dataclasses.replace(forward_convert(ms2, 100), r2=ms2.m2)
+    with pytest.raises(ResidueError, match="15 out of range for modulus 15"):
+        call(ms2, replaced)
+    # (7, 63, 64) from n = 3 comes back unstamped, so it is not refused
+    # for its set but for its residues.
+    unpickled = pickle.loads(pickle.dumps(forward_convert(ms3, ms3.M - 1)))
+    with pytest.raises(ResidueError, match="7 out of range for modulus 4"):
+        call(ms2, unpickled)
+
+
+def test_forward_convert_rejects_a_non_set():
+    with pytest.raises(ParameterError, match="^expected a ModuliSet, got None$"):
+        forward_convert(None, 1)
+
+
+def test_crt_reconstruct_rejects_a_tuple():
+    with pytest.raises(ResidueError, match=r"^expected a ResidueVector, got \(0, 10, 15\)$"):
+        crt_reconstruct(make_moduli_set(2), (0, 10, 15))
+
+
+def test_crt_reconstruct_rejects_a_vector_of_another_set():
+    # forward_convert(ms2, 17) is (1, 2, 0): in range for n = 3 as well,
+    # where it would reconstruct to 65.
+    rv = forward_convert(make_moduli_set(2), 17)
+    with pytest.raises(ResidueError, match="^the vector was built for "
+                                           "the set of n=2, not for n=3$"):
+        crt_reconstruct(make_moduli_set(3), rv)
 
 
 def test_validate_residues():
