@@ -22,9 +22,9 @@ without a loop or a division:
 channel_op runs these kernels, for any width.  rns_op runs them fused,
 as one straight-line block per op over the set's channels of widths n,
 2n and 2n; the per-kind kernels are the reference its tests check it
-against.  rns_op checks no residue of an operand stamped with its set
-(see core.ResidueVector), checks every residue of any other vector, and
-stamps its result with the set.
+against.  rns_op trusts operands stamped with its set (see
+core.ResidueVector); others pass _check_origin, then channel_op's
+operand-then-op check per channel.  It stamps its result with the set.
 
 rotl_mod_pow2_minus1 and neg_mod_pow2_minus1 state two bit tricks:
 multiplying by 2^p modulo 2^k - 1 is a circular left shift of the k-bit
@@ -148,13 +148,18 @@ def _check_operand(v, m: int, name: str = "operand") -> None:
         raise ResidueError(f"{name} {v} out of range for modulus {m}")
 
 
-def channel_op(chan: ChannelId, op: str, a: int, b: int) -> int:
-    """Apply add/sub/mul to two canonical residues of one channel."""
-    m = chan.modulus
+def _check_channel(m: int, op: str, a, b) -> None:
+    """Check one channel's operands, then op: the order every caller keeps."""
     _check_operand(a, m)
     _check_operand(b, m)
     if op not in CHANNEL_OPS:
         raise ParameterError(f"unknown channel op {op!r}")
+
+
+def channel_op(chan: ChannelId, op: str, a: int, b: int) -> int:
+    """Apply add/sub/mul to two canonical residues of one channel."""
+    m = chan.modulus
+    _check_channel(m, op, a, b)
     return _KERNELS[chan.kind](chan.k, m, op, a, b)
 
 
@@ -167,18 +172,11 @@ def rns_op(ms: ModuliSet, op: str, a: ResidueVector, b: ResidueVector) -> Residu
     if not checked:
         _check_origin(ms, a)
         _check_origin(ms, b)
+        for m, u, v in zip(ms.moduli(), a.astuple(), b.astuple()):
+            _check_channel(m, op, u, v)
     a1, a2, a3 = a.r1, a.r2, a.r3
     b1, b2, b3 = b.r1, b.r2, b.r3
     m1, m2, m3 = ms.m1, ms.m2, ms.m3
-    if not (checked
-            or type(a1) is int and type(a2) is int and type(a3) is int
-            and type(b1) is int and type(b2) is int and type(b3) is int
-            and 0 <= a1 < m1 and 0 <= a2 < m2 and 0 <= a3 < m3
-            and 0 <= b1 < m1 and 0 <= b2 < m2 and 0 <= b3 < m3):
-        # A residue is not canonical: channel_op, which checks a channel's
-        # operands and then op, raises on its channel and names it.
-        for chan, u, v in zip(ms.channels(), (a1, a2, a3), (b1, b2, b3)):
-            channel_op(chan, op, u, v)
     # The three kernels, fused for widths n, w and w: the 2^w - 1 channel
     # shares one fold after every op, and m3 - 2 == m2 is the w-bit mask of
     # the 2^w + 1 channel's product fold.

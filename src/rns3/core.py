@@ -16,6 +16,9 @@ converter; it applies the weights above as shifts and rotations, with no
 multiplication or division, and stays independent of the library because
 a test pins it to a textbook CRT that calls no rns3 code.  Everything is
 arbitrary precision, so n is unbounded.
+
+A vector is trusted by its set stamp alone (see ResidueVector); any other
+vector passes _check_origin, then a check of each residue in turn.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ class ModuliSet:
 
     def channels(self) -> tuple[ChannelId, ChannelId, ChannelId]:
         # Imported on call, so that loading core does not load channels:
-        # only rns_op's error path and verify --exhaustive call this.
+        # only verify --exhaustive calls this.
         from rns3.channels import ChannelId, ChannelKind
 
         n = self.n
@@ -78,7 +81,10 @@ class ModuliSet:
                 ChannelId(ChannelKind.POW2_PLUS1, 2 * n))
 
 
-@dataclass(frozen=True, init=False)
+_UNSTAMPED = object()  # not None, which a bad set argument could be
+
+
+@dataclass(frozen=True)
 class ResidueVector:
     """Canonical residue triple; bit j of a residue weighs 2^j.
 
@@ -94,15 +100,7 @@ class ResidueVector:
     r1: int
     r2: int
     r3: int
-    _set = None  # the stamp; vectors built by hand read this default
-
-    def __init__(self, r1: int, r2: int, r3: int):
-        # Frozen, so the generated __init__ would pay one slow
-        # object.__setattr__ call per field; store into __dict__ instead.
-        d = self.__dict__
-        d["r1"] = r1
-        d["r2"] = r2
-        d["r3"] = r3
+    _set = _UNSTAMPED  # the stamp of a vector built by hand; not a field
 
     def __getstate__(self):
         # The fields without the stamp, so that pickles and copies are
@@ -131,13 +129,15 @@ def _canonical(ms: ModuliSet, r1: int, r2: int, r3: int) -> ResidueVector:
 
 
 def _check_origin(ms: ModuliSet, rv) -> None:
-    """Raise ResidueError if rv is not a ResidueVector, or is stamped with a
-    set of another n: the channel ranges of a smaller set nest in those of
-    a larger one, so range checks alone would let its residues through."""
+    """Raise ParameterError unless ms is a ModuliSet, and ResidueError unless
+    rv is a ResidueVector not stamped with a set of another n: the channel
+    ranges of a smaller set nest in a larger one's, unseen by range checks."""
+    if not isinstance(ms, ModuliSet):
+        raise ParameterError(f"expected a ModuliSet, got {ms!r}")
     if not isinstance(rv, ResidueVector):
         raise ResidueError(f"expected a ResidueVector, got {rv!r}")
     stamp = rv._set
-    if stamp is not None and stamp.n != ms.n:
+    if stamp is not _UNSTAMPED and stamp.n != ms.n:
         raise ResidueError(f"the vector was built for the set of n={stamp.n}, "
                            f"not for n={ms.n}")
 
@@ -198,15 +198,10 @@ def pairwise_coprime(values: list[int]) -> bool:
 
 
 def validate_residues(ms: ModuliSet, rv: ResidueVector) -> None:
-    """Raise ResidueError unless rv is a ResidueVector, not stamped with a
-    set of another n, whose every residue is canonical for ms."""
+    """Raise an RnsError unless ms is a ModuliSet and rv a ResidueVector,
+    not stamped with a set of another n, whose residues are canonical."""
     _check_origin(ms, rv)
-    r1, r2, r3 = rv.r1, rv.r2, rv.r3
-    if (type(r1) is int and type(r2) is int and type(r3) is int
-            and 0 <= r1 < ms.m1 and 0 <= r2 < ms.m2 and 0 <= r3 < ms.m3):
-        return
-    # Find the first residue that fails, to name it and its modulus.
-    for idx, (r, m) in enumerate(zip((r1, r2, r3), ms.moduli()), start=1):
+    for idx, (r, m) in enumerate(zip(rv.astuple(), ms.moduli()), start=1):
         if type(r) is not int:
             raise ResidueError(f"R{idx}={r!r} is not an int")
         if not 0 <= r < m:

@@ -1,16 +1,18 @@
 """Unit-gate area and delay model for four reverse-converter designs.
 
 Delay units: inverter/AND 1; XOR, full adder and 2:1 mux 2.  Area units:
-NOT/AND/OR 1, XOR/XNOR 2.  Composite cells carry calibrated areas (full
-adder 7, XOR+AND pair 3, XNOR+OR pair 3, half adder 3, 2:1 mux 2), and
-the final modular adder of width w is modeled as a parallel-prefix adder
-with carry recirculation:
+NOT/AND/OR 1, XOR/XNOR 2.  Composite-cell areas are primitive sums (full
+adder 7 = 2 XOR + 2 AND + OR; XOR/AND pair, XNOR/OR pair and half adder
+3 = XOR or XNOR + AND or OR), and the final modular adder of width w is a
+cyclic Kogge-Stone adder with carry recirculation, L = ceil(log2 w):
 
-    area(w) = 3*w*ceil(log2 w) + 4*w      delay(w) = 2*ceil(log2 w) + 3
+    area(w) = 3*w*L + 4*w      delay(w) = 2*L + 3
 
-The composite-cell and modular-adder constants are calibration outputs,
-pinned by the golden comparison table in the test suite; the fitting
-derivation is written up in the README.
+The area is its primitive count with XOR propagate, the delay that of
+its OR-propagate variant.  Calibrated, not derived, are only the
+full-adder delay 2 (a three-input XOR is 4 deep in primitives) and the
+2:1 mux area 2, which only the ref11 rows of the golden table fix; the
+README gives the derivation.
 
 Designs compared:
 
@@ -59,7 +61,7 @@ class GateCosts:
     area_or: int = 1
     area_xor: int = 2
     area_xnor: int = 2
-    # calibrated composite cells
+    # composite cells: primitive sums, except the fitted mux
     area_fa: int = 7
     area_xor_and_pair: int = 3
     area_xnor_or_pair: int = 3
@@ -160,12 +162,12 @@ def hw_bill(design: ConverterDesign) -> HwBill:
 
 
 def modular_adder_area(width: int) -> int:
-    """Calibrated area of the final end-around modular adder."""
+    """Primitive area of the final end-around modular adder (XOR propagate)."""
     return 3 * width * ceil_log2(width) + 4 * width
 
 
 def modular_adder_delay(width: int) -> int:
-    """Parallel-prefix modular adder delay: 2*ceil(log2 w) + 3."""
+    """Parallel-prefix modular adder delay, OR propagate: 2*ceil(log2 w) + 3."""
     return 2 * ceil_log2(width) + 3
 
 
@@ -208,6 +210,8 @@ def channel_adder_delay(kind: ChannelAdder, n: int) -> int:
 
     The 2^n + 2^((n+1)/2) + 1 figure is approximate by construction.
     """
+    if not isinstance(kind, ChannelAdder):
+        raise ParameterError(f"channel adder kind {kind!r} is not a ChannelAdder")
     if type(n) is not int:
         raise ParameterError(f"n must be an int, got {n!r}")
     if n < 1:

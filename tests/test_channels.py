@@ -164,6 +164,26 @@ def test_rns_op_rejects_bad_operands():
         rns_op(ms, "xor", good, good)
 
 
+def test_rns_op_checks_hand_built_operands_channel_by_channel():
+    # Channel 1's operands, a before b, then the op, then channels 2 and 3:
+    # the order in which channel_op checks one channel.
+    ms = make_moduli_set(2)
+    good = ResidueVector(1, 2, 3)
+    for op, a, b, error, message in (
+            ("xor", ResidueVector(1, 15, 3), good, ParameterError,
+             "unknown channel op 'xor'"),
+            ("xor", good, ResidueVector(1, 2, -1), ParameterError,
+             "unknown channel op 'xor'"),
+            ("xor", ResidueVector(4, 15, 3), good, ResidueError,
+             "operand 4 out of range for modulus 4"),
+            ("xor", good, ResidueVector(1.0, 2, 3), ResidueError,
+             "operand 1.0 is not an int"),
+            ("add", ResidueVector(1, 2, 3.0), ResidueVector(1, 15, 3), ResidueError,
+             "operand 15 out of range for modulus 15")):
+        with pytest.raises(error, match=f"^{message}$"):
+            rns_op(ms, op, a, b)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rns_op_matches_channel_op_exhaustive(n):
     # Every operand pair of every channel of the set: channel i takes the

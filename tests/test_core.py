@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from rns3 import core
 from rns3.channels import reduce_mod, rns_op
-from rns3.converter import decode_trace, reverse_convert
+from rns3.converter import decode_trace, prepare_operands, reverse_convert
 from rns3.core import (
     ResidueVector,
     crt_reconstruct,
@@ -234,6 +234,29 @@ def test_replaced_or_unpickled_vectors_are_checked_in_full(call):
     unpickled = pickle.loads(pickle.dumps(forward_convert(ms3, ms3.M - 1)))
     with pytest.raises(ResidueError, match="7 out of range for modulus 4"):
         call(ms2, unpickled)
+
+
+# Each entry point that takes a set and a vector; rns_op takes rv twice,
+# as forward_convert would reject a bad set before rns_op saw it.
+SET_ENTRY_POINTS = {
+    **ENTRY_POINTS,
+    "validate_residues": validate_residues,
+    "prepare_operands": prepare_operands,
+    "rns_op": lambda ms, rv: rns_op(ms, "add", rv, rv),
+}
+
+
+@pytest.mark.parametrize("stamped", [False, True], ids=["hand_built", "stamped"])
+@pytest.mark.parametrize("call", SET_ENTRY_POINTS.values(), ids=SET_ENTRY_POINTS)
+def test_entry_points_reject_a_non_set(call, stamped):
+    # Were the default stamp None, a vector built by hand would pass the
+    # stamp test at ms=None, and the set would go unchecked.
+    rv = forward_convert(make_moduli_set(2), 100)
+    if not stamped:
+        rv = ResidueVector(*rv.astuple())
+    for bad in (None, (4, 15, 17)):
+        with pytest.raises(ParameterError, match="^expected a ModuliSet, got "):
+            call(bad, rv)
 
 
 def test_forward_convert_rejects_a_non_set():

@@ -17,6 +17,7 @@ from rns3.costs import (
     emit_table,
     hw_bill,
     matched_three_channel_size,
+    modular_adder_area,
     modular_adder_delay,
     render_bill_table,
     render_channel_delay_table,
@@ -48,6 +49,21 @@ def test_gate_cost_reference_values():
         (1, 1, 2, 2, 2)
     assert (c.area_not, c.area_and, c.area_or, c.area_xor, c.area_xnor) == \
         (1, 1, 1, 2, 2)
+
+
+def test_composite_cells_are_primitive_sums():
+    c = GateCosts()
+    assert c.area_fa == 2 * c.area_xor + 2 * c.area_and + c.area_or
+    assert c.area_xor_and_pair == c.area_ha == c.area_xor + c.area_and
+    assert c.area_xnor_or_pair == c.area_xnor + c.area_or
+    # The modular adder: w generate/propagate cells (AND + XOR), L levels
+    # of w prefix cells (AND-OR for generate, AND for propagate, which the
+    # last level lacks) and w sum XORs.
+    for w in (1, 2, 3, 8, 26, 1024):
+        L = ceil_log2(w)
+        prefix = (2 * c.area_and + c.area_or) * w * L - c.area_and * w
+        assert modular_adder_area(w) == (
+            w * (c.area_and + c.area_xor) + prefix + w * c.area_xor)
 
 
 def test_hw_bill_ours():
@@ -185,6 +201,15 @@ def test_channel_adder_delay():
     assert channel_adder_delay(ChannelAdder.MOD_HIASAT, 2) == 11
     with pytest.raises(ParameterError):
         channel_adder_delay(ChannelAdder.MOD_HIASAT, 0)
+
+
+@pytest.mark.parametrize(
+    "kind", ["mod_2pow2n_plus1", "mod_hiasat", None, Design.OURS])
+def test_channel_adder_kind_must_be_a_channel_adder(kind):
+    # Unchecked, a string falls through to the Hiasat figure: 15, not 12,
+    # at n = 3.
+    with pytest.raises(ParameterError, match="is not a ChannelAdder$"):
+        channel_adder_delay(kind, 3)
 
 
 def test_channel_adder_strictly_faster_from_n2():
