@@ -75,6 +75,8 @@ class ChannelId:
 
 def reduce_mod(chan: ChannelId, x: int) -> int:
     """Reduce x >= 0 into [0, modulus) using chunk folds."""
+    if not isinstance(chan, ChannelId):
+        raise ParameterError(f"expected a ChannelId, got {chan!r}")
     if type(x) is not int:
         raise ParameterError(f"reduce_mod expects an int, got {x!r}")
     if x < 0:
@@ -158,6 +160,8 @@ def _check_channel(m: int, op: str, a, b) -> None:
 
 def channel_op(chan: ChannelId, op: str, a: int, b: int) -> int:
     """Apply add/sub/mul to two canonical residues of one channel."""
+    if not isinstance(chan, ChannelId):
+        raise ParameterError(f"expected a ChannelId, got {chan!r}")
     m = chan.modulus
     _check_channel(m, op, a, b)
     return _KERNELS[chan.kind](chan.k, m, op, a, b)

@@ -19,13 +19,14 @@ folds the r1 word and the complemented-r3 word into one summand; the
 leftover filler is the all-ones word, which is congruent to zero, so a
 single carry-save level suffices for all three channels.
 
-reverse_convert runs this datapath as one fused kernel on plain
-integers, with the masks fixed per ModuliSet.  decode_trace runs it
-through the public stage functions (prepare_operands, csa_eac,
-mod_add_end_around) and keeps every intermediate as a BitWord; that
-staged path is the reference the fused kernel is tested against.  The
-layout functions below build each summand segment by segment and are, in
-turn, the reference for summand_ints.
+The layout functions below build each summand segment by segment from
+the size n alone; they are the one reference for this wiring.
+reverse_convert runs the datapath as one fused kernel on plain integers,
+with the masks fixed per ModuliSet.  decode_trace runs it through the
+public stage functions (prepare_operands, which calls the layouts,
+csa_eac and mod_add_end_around) and keeps every intermediate as a
+BitWord; that staged path is the reference the fused kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -88,22 +89,20 @@ def bit_slice(x: int, hi: int, lo: int) -> BitWord:
     return BitWord((x >> lo) & ((1 << width) - 1), width)
 
 
-def r1_summand(ms: ModuliSet, r1: int) -> BitWord:
+def r1_summand(n: int, r1: int) -> BitWord:
     """Complemented r1 over an all-ones tail: -2^(3n)*r1 mod 2^(4n)-1."""
-    n = ms.n
     return BitWord.concat([
         bit_slice(r1, n - 1, 0).complement(),
         BitWord.ones(3 * n),
     ])
 
 
-def r2_summand(ms: ModuliSet, r2: int) -> BitWord:
+def r2_summand(n: int, r2: int) -> BitWord:
     """Both rotations of r2 in one word: (2^(3n-1) + 2^(n-1)) * r2.
 
     The two rotated copies occupy disjoint bit positions, so their sum is
     plain concatenation and costs no adder.
     """
-    n = ms.n
     return BitWord.concat([
         bit_slice(r2, n, 0),
         bit_slice(r2, 2 * n - 1, 0),
@@ -111,9 +110,8 @@ def r2_summand(ms: ModuliSet, r2: int) -> BitWord:
     ])
 
 
-def r3_rot_summand(ms: ModuliSet, r3: int) -> BitWord:
+def r3_rot_summand(n: int, r3: int) -> BitWord:
     """r3 rotated left by 3n-1: +2^(3n-1)*r3 mod 2^(4n)-1."""
-    n = ms.n
     return BitWord.concat([
         bit_slice(r3, n, 0),
         BitWord.zeros(2 * n - 1),
@@ -121,9 +119,8 @@ def r3_rot_summand(ms: ModuliSet, r3: int) -> BitWord:
     ])
 
 
-def r3_comp_summand(ms: ModuliSet, r3: int) -> BitWord:
+def r3_comp_summand(n: int, r3: int) -> BitWord:
     """Complemented, rotated r3 between ones fillers: -2^(n-1)*r3."""
-    n = ms.n
     return BitWord.concat([
         BitWord.ones(n),
         bit_slice(r3, 2 * n, 0).complement(),
@@ -131,36 +128,18 @@ def r3_comp_summand(ms: ModuliSet, r3: int) -> BitWord:
     ])
 
 
-def merged_summand(ms: ModuliSet, r1: int, r3: int) -> BitWord:
+def merged_summand(n: int, r1: int, r3: int) -> BitWord:
     """r1_summand and r3_comp_summand folded into a single word.
 
     The ones tail of the first summand and the ones fillers of the second
     are swapped so that all the ones collect in one word (congruent to
     zero) and the residue bits collect here.
     """
-    n = ms.n
     return BitWord.concat([
         bit_slice(r1, n - 1, 0).complement(),
         bit_slice(r3, 2 * n, 0).complement(),
         BitWord.ones(n - 1),
     ])
-
-
-def summand_ints(n: int, r1: int, r2: int, r3: int) -> tuple[int, int, int]:
-    """S1', S2 and S31 at size n as plain integers, for canonical residues.
-
-    The same wiring as merged_summand, r2_summand and r3_rot_summand,
-    compiled to shifts and masks: S1' complements r1 and r3 inside an
-    all-ones word; S2 and S31 put the low n+1 bits of their residue at
-    bit 3n-1 and up and the bits above n at the bottom, and S2 also holds
-    all of r2 from bit n-1.
-    """
-    low = (1 << n + 1) - 1
-    return (
-        ((1 << 4 * n) - 1) ^ ((r1 << 3 * n) | (r3 << n - 1)),
-        ((r2 & low) << 3 * n - 1) | (r2 << n - 1) | (r2 >> n + 1),
-        ((r3 & low) << 3 * n - 1) | (r3 >> n + 1),
-    )
 
 
 @dataclass(frozen=True)
@@ -179,9 +158,9 @@ class OperandSet:
 def prepare_operands(ms: ModuliSet, rv: ResidueVector) -> OperandSet:
     """Assemble the three summands; the fourth collapses to all-ones == 0."""
     validate_residues(ms, rv)
-    width = 4 * ms.n
-    return OperandSet(*(BitWord(v, width)
-                        for v in summand_ints(ms.n, rv.r1, rv.r2, rv.r3)))
+    n = ms.n
+    return OperandSet(merged_summand(n, rv.r1, rv.r3), r2_summand(n, rv.r2),
+                      r3_rot_summand(n, rv.r3))
 
 
 def csa_eac(a: BitWord, b: BitWord, c: BitWord) -> tuple[BitWord, BitWord]:
@@ -214,9 +193,9 @@ def mod_add_end_around(a: BitWord, b: BitWord) -> int:
 def reverse_convert(ms: ModuliSet, rv: ResidueVector) -> int:
     """Residues to integer, bit for bit as the adder datapath computes it.
 
-    summand_ints, csa_eac and mod_add_end_around inlined into one kernel,
-    with no call or intermediate tuple; decode_trace runs them staged and
-    is its reference.
+    The summand layouts, csa_eac and mod_add_end_around inlined into one
+    kernel on plain integers, with no call or intermediate word;
+    decode_trace runs them staged and is its reference.
     """
     try:
         checked = rv._set is ms  # stamped with ms: canonical for it

@@ -24,8 +24,8 @@ Designs compared:
 
 REF1/REF9/REF11 are modeled from their published gate bills only; their
 datapaths are not implemented here.  The OURS bill is counted from the
-summand wiring that the converter builds (converter.summand_ints, which
-takes only n, so no ModuliSet with its 5n-bit weights is built).
+converter's summand layouts (merged_summand, r2_summand, r3_rot_summand),
+which take only n, so no ModuliSet with its 5n-bit weights is built.
 """
 
 from __future__ import annotations
@@ -114,16 +114,20 @@ class HwBill:
 
 
 def _counted_bill(n: int) -> HwBill:
-    """The OURS bill at size n, counted from converter.summand_ints.
+    """The OURS bill at size n, counted from the converter's summand layouts.
 
     A summand bit that differs between all-zero and all-ones residues is a
     wire (an inverter if it reads 1 at zero), any other bit a constant.  A
     CSA column of three wires takes a full adder; two wires take an XOR/AND
     pair beside a constant 0, an XNOR/OR pair beside a constant 1.
     """
-    zero = converter.summand_ints(n, 0, 0, 0)
-    full = converter.summand_ints(n, (1 << n) - 1, (1 << 2 * n) - 1,
-                                  (1 << 2 * n + 1) - 1)
+    def summands(r1, r2, r3):
+        return (converter.merged_summand(n, r1, r3).value,
+                converter.r2_summand(n, r2).value,
+                converter.r3_rot_summand(n, r3).value)
+
+    zero = summands(0, 0, 0)
+    full = summands((1 << n) - 1, (1 << 2 * n) - 1, (1 << 2 * n + 1) - 1)
     a, b, c = wires = [z ^ f for z, f in zip(zero, full)]
     three = a & b & c
     two = ((a & b) | (a & c) | (b & c)) ^ three
@@ -142,6 +146,8 @@ def _counted_bill(n: int) -> HwBill:
 
 def hw_bill(design: ConverterDesign) -> HwBill:
     """Component counts of the named converter at its size parameter."""
+    if not isinstance(design, ConverterDesign):
+        raise ParameterError(f"expected a ConverterDesign, got {design!r}")
     s = design.size
     if design.tag is Design.OURS:
         return _counted_bill(s)
@@ -173,6 +179,8 @@ def modular_adder_delay(width: int) -> int:
 
 def area_total(bill: HwBill) -> int:
     """Unit-gate area of a bill, modular adder included."""
+    if not isinstance(bill, HwBill):
+        raise ParameterError(f"expected an HwBill, got {bill!r}")
     costs = DEFAULT_COSTS
     area = (bill.inverters + bill.extra_inverters) * costs.area_not
     area += bill.full_adders * costs.area_fa
@@ -195,9 +203,10 @@ _PATH_LEVELS = {Design.OURS: (1, 0), Design.REF1: (3, 0),
 def delay_total(design: ConverterDesign) -> int:
     """Critical-path delay: operand prep + adder levels (+ mux) + modular add."""
     costs = DEFAULT_COSTS
+    ma_width = hw_bill(design).ma_width  # checks the type before .tag
     csa, mux = _PATH_LEVELS[design.tag]
     return (costs.delay_inv + csa * costs.delay_fa + mux * costs.delay_mux
-            + modular_adder_delay(hw_bill(design).ma_width))
+            + modular_adder_delay(ma_width))
 
 
 class ChannelAdder(Enum):
@@ -295,6 +304,9 @@ def emit_table(rows: list[CostReport], format: str = "text") -> str:
     """Render comparison rows; csv output is contract-stable."""
     if not rows:
         raise ParameterError("need at least one row")
+    for r in rows:
+        if not isinstance(r, CostReport):
+            raise ParameterError(f"expected a CostReport, got {r!r}")
     cells = [[f.name for f in fields(CostReport)]]
     cells += [[str(v) for v in astuple(r)] for r in rows]
     return _render(cells, format)

@@ -116,20 +116,20 @@ def test_criterion_4_operand_value_lemmas():
             coeff2 = (1 << (3 * n - 1)) + (1 << (n - 1))
             coeff3 = (1 << (3 * n - 1)) - (1 << (n - 1))
             for r1 in range(ms.m1):
-                assert (r1_summand(ms, r1).value % modw
+                assert (r1_summand(n, r1).value % modw
                         == (-(1 << 3 * n) * r1) % modw)
             for r2 in range(ms.m2):
-                assert r2_summand(ms, r2).value % modw == coeff2 * r2 % modw
+                assert r2_summand(n, r2).value % modw == coeff2 * r2 % modw
             for r3 in range(ms.m3):
-                rot = r3_rot_summand(ms, r3).value
-                comp = r3_comp_summand(ms, r3).value
+                rot = r3_rot_summand(n, r3).value
+                comp = r3_comp_summand(n, r3).value
                 assert (rot + comp) % modw == coeff3 * r3 % modw
             for r1 in range(ms.m1):
-                s1 = r1_summand(ms, r1).value
+                s1 = r1_summand(n, r1).value
                 for r3 in range(ms.m3):
-                    s32 = r3_comp_summand(ms, r3).value
+                    s32 = r3_comp_summand(n, r3).value
                     assert ((s1 + s32) % modw
-                            == merged_summand(ms, r1, r3).value % modw)
+                            == merged_summand(n, r1, r3).value % modw)
 
 
 def test_criterion_5_reconstruction_weights():
@@ -308,9 +308,9 @@ def test_star_import_binds_exactly_all():
     assert sorted(namespace) == rns3.__all__
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "summand_ints", "Enum"])
+@pytest.mark.parametrize("name", ["no_such_name", "bit_slice", "Enum"])
 def test_unknown_name_raises_attribute_error(name):
-    # summand_ints and Enum are module-level names of submodules, but
+    # bit_slice and Enum are module-level names of submodules, but
     # not exports.
     with pytest.raises(AttributeError, match=name):
         getattr(rns3, name)

@@ -168,8 +168,8 @@ def test_verify_catches_wrong_product_at_large_n(capsys, monkeypatch):
 
 def test_verify_catches_wrong_operand_word_at_large_n(capsys, monkeypatch):
     r2_summand = converter.r2_summand
-    monkeypatch.setattr(converter, "r2_summand", lambda ms, r2: converter.BitWord(
-        r2_summand(ms, r2).value ^ 1, 4 * ms.n))
+    monkeypatch.setattr(converter, "r2_summand", lambda n, r2: converter.BitWord(
+        r2_summand(n, r2).value ^ 1, 4 * n))
     code, out, _ = run(capsys, "verify", "--n", "1024", "--random",
                        "--samples", "5")
     assert code == 1
@@ -184,7 +184,7 @@ def test_verify_catches_wrong_operand_word_at_large_n(capsys, monkeypatch):
 def test_verify_lists_roundtrip_and_lemma_failures(capsys, monkeypatch):
     monkeypatch.setattr(core, "crt_reconstruct", lambda ms, rv: 0)
     monkeypatch.setattr(converter, "r2_summand",
-                        lambda ms, r2: converter.BitWord(0, 4 * ms.n))
+                        lambda n, r2: converter.BitWord(0, 4 * n))
     code, out, _ = run(capsys, "verify", "--n", "1", "--exhaustive")
     assert code == 1
     assert out.splitlines() == [

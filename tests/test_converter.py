@@ -21,7 +21,6 @@ from rns3.converter import (
     r3_comp_summand,
     r3_rot_summand,
     reverse_convert,
-    summand_ints,
 )
 from rns3.core import (
     ResidueVector,
@@ -206,12 +205,12 @@ def test_operand_value_lemmas_exhaustive():
         modw = (1 << 4 * n) - 1
         coeff2, coeff3 = _coeff(ms)
         for r1 in range(ms.m1):
-            assert r1_summand(ms, r1).value % modw == (-(1 << 3 * n) * r1) % modw
+            assert r1_summand(n, r1).value % modw == (-(1 << 3 * n) * r1) % modw
         for r2 in range(ms.m2):
-            assert r2_summand(ms, r2).value % modw == coeff2 * r2 % modw
+            assert r2_summand(n, r2).value % modw == coeff2 * r2 % modw
         for r3 in range(ms.m3):
-            rot = r3_rot_summand(ms, r3).value
-            comp = r3_comp_summand(ms, r3).value
+            rot = r3_rot_summand(n, r3).value
+            comp = r3_comp_summand(n, r3).value
             assert rot % modw == (1 << (3 * n - 1)) * r3 % modw
             assert (rot + comp) % modw == coeff3 * r3 % modw
 
@@ -222,37 +221,11 @@ def test_merge_identity_exhaustive():
         ms = make_moduli_set(n)
         modw = (1 << 4 * n) - 1
         for r1 in range(ms.m1):
-            s1 = r1_summand(ms, r1).value
+            s1 = r1_summand(n, r1).value
             for r3 in range(ms.m3):
-                s32 = r3_comp_summand(ms, r3).value
-                merged = merged_summand(ms, r1, r3).value
+                s32 = r3_comp_summand(n, r3).value
+                merged = merged_summand(n, r1, r3).value
                 assert (s1 + s32) % modw == merged % modw
-
-
-def _reference_summands(ms, r1, r2, r3):
-    return (merged_summand(ms, r1, r3).value, r2_summand(ms, r2).value,
-            r3_rot_summand(ms, r3).value)
-
-
-def test_summand_ints_match_reference_exhaustive():
-    for n in (1, 2, 3):
-        ms = make_moduli_set(n)
-        for r1, r2, r3 in itertools.product(
-                range(ms.m1), range(ms.m2), range(ms.m3)):
-            assert summand_ints(ms.n, r1, r2, r3) == \
-                _reference_summands(ms, r1, r2, r3)
-
-
-def test_summand_ints_match_reference_sampled_with_edges():
-    rng = random.Random(4096)
-    for n in (4, 16, 64, 1024, 4096):
-        ms = make_moduli_set(n)
-        edges = [(0, 0, 0), (ms.m1 - 1, ms.m2 - 1, ms.m3 - 1)]
-        drawn = [tuple(rng.choice((0, m - 1, rng.randrange(m)))
-                       for m in ms.moduli()) for _ in range(200)]
-        for r1, r2, r3 in edges + drawn:
-            assert summand_ints(ms.n, r1, r2, r3) == \
-                _reference_summands(ms, r1, r2, r3)
 
 
 def test_reverse_convert_rejects_noncanonical_residues():

@@ -187,7 +187,7 @@ def test_forward_convert_kernel_property(case):
 
 
 def test_residue_vector_contract():
-    # ResidueVector keeps the frozen dataclass behaviour with its own __init__.
+    # ResidueVector keeps the frozen dataclass behaviour, its stamp aside.
     rv = ResidueVector(1, 2, 3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         rv.r2 = 5

@@ -3,6 +3,7 @@
 import pytest
 
 from rns3 import converter, core, costs
+from rns3.channels import channel_op, reduce_mod
 from rns3.costs import (
     ChannelAdder,
     ConverterDesign,
@@ -83,15 +84,15 @@ def test_hw_bill_ours_counted_matches_closed_forms():
 
 
 def _miswire_s31(monkeypatch, keep):
-    """Replace converter.summand_ints with one whose S31 keeps only the bits
-    that keep(n) selects."""
-    real = converter.summand_ints
+    """Replace converter.r3_rot_summand with one whose S31 keeps only the
+    bits that keep(n) selects."""
+    real = converter.r3_rot_summand
 
-    def summand_ints(n, r1, r2, r3):
-        s1, s2, s31 = real(n, r1, r2, r3)
-        return s1, s2, s31 & keep(n)
+    def r3_rot_summand(n, r3):
+        s31 = real(n, r3)
+        return converter.BitWord(s31.value & keep(n), s31.width)
 
-    monkeypatch.setattr(converter, "summand_ints", summand_ints)
+    monkeypatch.setattr(converter, "r3_rot_summand", r3_rot_summand)
 
 
 def test_hw_bill_ours_follows_the_summand_wiring(monkeypatch):
@@ -210,6 +211,24 @@ def test_channel_adder_kind_must_be_a_channel_adder(kind):
     # at n = 3.
     with pytest.raises(ParameterError, match="is not a ChannelAdder$"):
         channel_adder_delay(kind, 3)
+
+
+# Each call passes an argument of the wrong type, which must be refused
+# before any of its attributes is read.
+WRONG_TYPED_CALLS = {
+    "hw_bill": lambda: hw_bill("ours"),
+    "delay_total": lambda: delay_total(None),
+    "area_total": lambda: area_total(None),
+    "channel_op": lambda: channel_op(None, "add", 1, 2),
+    "reduce_mod": lambda: reduce_mod("x", 3),
+    "emit_table": lambda: emit_table([1]),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPED_CALLS.values(), ids=WRONG_TYPED_CALLS)
+def test_wrong_typed_arguments_raise_parameter_error(call):
+    with pytest.raises(ParameterError, match="^expected an? [A-Za-z]+, got "):
+        call()
 
 
 def test_channel_adder_strictly_faster_from_n2():
