@@ -1,30 +1,28 @@
 """Carry-free arithmetic in the channel moduli 2^k, 2^k - 1 and 2^k + 1.
 
-reduce_mod folds any x >= 0: the power-of-two channel masks low bits,
-the 2^k - 1 channel adds k-bit chunks end-around (2^k == 1 there), and
-the 2^k + 1 channel sums chunks with alternating signs (2^k == -1 there)
-and canonicalizes that short sum with one final modulo.
-
-Channel arithmetic needs far less, because its operands are canonical.
-A sum or difference lies within one modulus of the range, and a product
-is below 2^(2k) (at most 2^(2k) itself in the 2^k + 1 channel), so each
-channel kind has a kernel that finishes in a fixed number of steps,
+rns_op is the kernel: add, sub or mul on two residue vectors, one
+straight-line block per op over the set's channels of widths n, 2n and
+2n.  Canonical operands bound each raw result (a sum or difference lies
+within one modulus of the range, a product in a 2n-bit channel is at
+most 2^(4n)), so every channel finishes in a fixed number of steps,
 without a loop or a division:
 
-- 2^k: one mask.
-- 2^k - 1: one end-around fold after add or sub, two after mul (the
-  first fold leaves at most k + 1 bits); the all-ones word, the alias
+- 2^n: one mask.
+- 2^(2n) - 1: one end-around fold after add or sub, two after mul (the
+  first fold leaves at most 2n + 1 bits); the all-ones word, the alias
   of zero, becomes 0.
-- 2^k + 1: a + b - m and a - b lie in [-m, m), so one conditional +m
-  finishes them; a product p becomes (p mod 2^k) - (p >> k), which lies
-  in [-2^k, 2^k) even for p = 2^(2k), and takes the same +m.
+- 2^(2n) + 1: a + b - m and a - b lie in [-m, m), so one conditional +m
+  finishes them; a product p becomes (p mod 2^(2n)) - (p >> 2n), which
+  lies in [-2^(2n), 2^(2n)) even for p = 2^(4n), and takes the same +m.
 
-channel_op runs these kernels, for any width.  rns_op runs them fused,
-as one straight-line block per op over the set's channels of widths n,
-2n and 2n; the per-kind kernels are the reference its tests check it
-against.  rns_op trusts operands stamped with its set (see
-core.ResidueVector); others pass _check_origin, then channel_op's
-operand-then-op check per channel.  It stamps its result with the set.
+rns_op trusts operands stamped with its set (see core.ResidueVector);
+others pass _check_origin, then channel_op's operand-then-op check per
+channel.  It stamps its result with the set.
+
+channel_op and reduce_mod are the plain references, for one channel of
+any width: they check their arguments, then reduce with Python's %.
+They share no arithmetic with rns_op or core.forward_convert, which the
+tests check against them.
 
 rotl_mod_pow2_minus1 and neg_mod_pow2_minus1 state two bit tricks:
 multiplying by 2^p modulo 2^k - 1 is a circular left shift of the k-bit
@@ -74,73 +72,14 @@ class ChannelId:
 
 
 def reduce_mod(chan: ChannelId, x: int) -> int:
-    """Reduce x >= 0 into [0, modulus) using chunk folds."""
+    """x >= 0 reduced into [0, modulus) by Python's %."""
     if not isinstance(chan, ChannelId):
         raise ParameterError(f"expected a ChannelId, got {chan!r}")
     if type(x) is not int:
         raise ParameterError(f"reduce_mod expects an int, got {x!r}")
     if x < 0:
         raise ParameterError("reduce_mod expects a non-negative value")
-    k = chan.k
-    mask = (1 << k) - 1
-    if chan.kind is ChannelKind.POW2:
-        return x & mask
-    if chan.kind is ChannelKind.POW2_MINUS1:
-        while x > mask:
-            x = (x & mask) + (x >> k)
-        return 0 if x == mask else x
-    # 2^k + 1: chunk i weighs (-1)^i; the short alternating sum is
-    # canonicalized with one small modulo at the end.
-    acc = 0
-    sign = 1
-    while x:
-        acc += sign * (x & mask)
-        x >>= k
-        sign = -sign
-    return acc % (mask + 2)
-
-
-# The kernels: op, one of CHANNEL_OPS, on canonical a, b of the channel
-# of width k and modulus m.
-
-def _pow2_op(k: int, m: int, op: str, a: int, b: int) -> int:
-    if op == "mul":
-        t = a * b
-    elif op == "add":
-        t = a + b
-    else:
-        t = a - b
-    return t & (m - 1)
-
-
-def _pow2_minus1_op(k: int, m: int, op: str, a: int, b: int) -> int:
-    if op == "mul":
-        t = a * b  # below 2^(2k): two folds
-        t = (t & m) + (t >> k)
-    elif op == "add":
-        t = a + b
-    else:
-        t = a - b + m  # a plus the one's complement of b
-    t = (t & m) + (t >> k)
-    return 0 if t == m else t
-
-
-def _pow2_plus1_op(k: int, m: int, op: str, a: int, b: int) -> int:
-    if op == "mul":
-        t = a * b  # at most 2^(2k), so t >> k is at most 2^k
-        t = (t & (m - 2)) - (t >> k)
-    elif op == "add":
-        t = a + b - m
-    else:
-        t = a - b
-    return t + m if t < 0 else t
-
-
-_KERNELS = {
-    ChannelKind.POW2: _pow2_op,
-    ChannelKind.POW2_MINUS1: _pow2_minus1_op,
-    ChannelKind.POW2_PLUS1: _pow2_plus1_op,
-}
+    return x % chan.modulus
 
 
 def _check_operand(v, m: int, name: str = "operand") -> None:
@@ -159,12 +98,14 @@ def _check_channel(m: int, op: str, a, b) -> None:
 
 
 def channel_op(chan: ChannelId, op: str, a: int, b: int) -> int:
-    """Apply add/sub/mul to two canonical residues of one channel."""
+    """add/sub/mul of two canonical residues of one channel, by Python's %."""
     if not isinstance(chan, ChannelId):
         raise ParameterError(f"expected a ChannelId, got {chan!r}")
     m = chan.modulus
     _check_channel(m, op, a, b)
-    return _KERNELS[chan.kind](chan.k, m, op, a, b)
+    if op == "mul":
+        return a * b % m
+    return (a + b if op == "add" else a - b) % m
 
 
 def rns_op(ms: ModuliSet, op: str, a: ResidueVector, b: ResidueVector) -> ResidueVector:

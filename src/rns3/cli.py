@@ -202,12 +202,16 @@ _REFERENCE = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 def _homomorphism_fails(ms, case):
-    """channel_op on a (chan, op, a, b) case, or rns_op under every op on an
-    (X, Y) pair, against the big-integer result reduced modulo m or M."""
+    """rns_op on an (i, op, a, b) case, a and b in channel i and 0 in the
+    others, or under every op on an (X, Y) pair, against the big-integer
+    result reduced modulo m_i or M."""
     if len(case) == 4:
-        chan, op, a, b = case
-        if channels.channel_op(chan, op, a, b) != _REFERENCE[op](a, b) % chan.modulus:
-            yield a, b, op, chan.kind.value
+        i, op, a, b = case
+        u, v = [0, 0, 0], [0, 0, 0]
+        u[i], v[i] = a, b
+        got = channels.rns_op(ms, op, core.ResidueVector(*u), core.ResidueVector(*v))
+        if got.astuple()[i] != _REFERENCE[op](a, b) % ms.moduli()[i]:
+            yield a, b, op, ms.channels()[i].kind.value
         return
     x, y = case
     a, b = core.forward_convert(ms, x), core.forward_convert(ms, y)
@@ -234,9 +238,9 @@ def cmd_verify(args) -> int:
         triples = itertools.chain(
             ((0, r2, 0) for r2 in range(ms.m2)),
             ((r1, 0, r3) for r1 in range(ms.m1) for r3 in range(ms.m3)))
-        homs = ((chan, op, a, b)
-                for chan in ms.channels() for op in channels.CHANNEL_OPS
-                for a in range(chan.modulus) for b in range(chan.modulus))
+        homs = ((i, op, a, b)
+                for i, m in enumerate(ms.moduli()) for op in channels.CHANNEL_OPS
+                for a in range(m) for b in range(m))
         pairs = 1000
     else:
         values = (rng.randrange(ms.M) for _ in range(args.samples))

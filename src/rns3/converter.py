@@ -61,12 +61,16 @@ class BitWord:
         value = 0
         width = 0
         for seg in segments:
+            if not isinstance(seg, BitWord):
+                raise ParameterError(f"expected a BitWord, got {seg!r}")
             value = (value << seg.width) | seg.value
             width += seg.width
         return cls(value, width)
 
     @classmethod
     def ones(cls, width: int) -> BitWord:
+        if type(width) is not int or width < 0:
+            raise ParameterError(f"width must be an int >= 0, got {width!r}")
         return cls((1 << width) - 1, width)
 
     @classmethod

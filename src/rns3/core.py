@@ -72,7 +72,7 @@ class ModuliSet:
 
     def channels(self) -> tuple[ChannelId, ChannelId, ChannelId]:
         # Imported on call, so that loading core does not load channels:
-        # only verify --exhaustive calls this.
+        # only verify --exhaustive calls this, to name a failing channel.
         from rns3.channels import ChannelId, ChannelKind
 
         n = self.n
@@ -186,8 +186,12 @@ def _check_weights(ms: ModuliSet) -> None:
 
 def pairwise_coprime(values: list[int]) -> bool:
     """True iff every pair of values has gcd 1."""
+    if not isinstance(values, (list, tuple)):
+        raise ParameterError(f"expected a list of ints, got {values!r}")
     if not values:
         raise ParameterError("need at least one value")
+    if any(type(v) is not int for v in values):
+        raise ParameterError(f"values must be ints, got {values!r}")
     if any(v < 1 for v in values):
         raise ParameterError("values must be >= 1")
     return all(
@@ -265,5 +269,7 @@ def crt_reconstruct(ms: ModuliSet, rv: ResidueVector) -> int:
 
 def inverse_constants(ms: ModuliSet) -> tuple[int, int, int]:
     """The closed-form weights (2^n - 1, 2^(n-1), 2^(n-1)), re-verified."""
+    if not isinstance(ms, ModuliSet):
+        raise ParameterError(f"expected a ModuliSet, got {ms!r}")
     _check_weights(ms)
     return (ms.inv1, ms.inv2, ms.inv3)

@@ -113,6 +113,12 @@ class HwBill:
     approximate: bool = False
 
 
+# Per design: (CSA levels, 2:1-mux levels) on the critical path, and the
+# width of the final modular adder per unit of size.
+_PATH_LEVELS = {Design.OURS: (1, 0, 4), Design.REF1: (3, 0, 4),
+                Design.REF9: (4, 0, 4), Design.REF11: (1, 1, 2)}
+
+
 def _counted_bill(n: int) -> HwBill:
     """The OURS bill at size n, counted from the converter's summand layouts.
 
@@ -141,7 +147,7 @@ def _counted_bill(n: int) -> HwBill:
                   full_adders=three.bit_count(),
                   xor_and_pairs=(two & ~ones).bit_count(),
                   xnor_or_pairs=(two & ones).bit_count(),
-                  ma_width=4 * n)
+                  ma_width=_PATH_LEVELS[Design.OURS][2] * n)
 
 
 def hw_bill(design: ConverterDesign) -> HwBill:
@@ -151,20 +157,21 @@ def hw_bill(design: ConverterDesign) -> HwBill:
     s = design.size
     if design.tag is Design.OURS:
         return _counted_bill(s)
+    ma_width = _PATH_LEVELS[design.tag][2] * s
     if design.tag is Design.REF1:
         # the published 2s-3 extra-inverter term is negative for s=1;
         # counts are clamped at zero
         return HwBill(Design.REF1, inverters=5 * s + 3, full_adders=7 * s + 6,
                       xor_and_pairs=2 * s - 1, xnor_or_pairs=4 * s,
-                      extra_inverters=max(0, 2 * s - 3), ma_width=4 * s)
+                      extra_inverters=max(0, 2 * s - 3), ma_width=ma_width)
     if design.tag is Design.REF9:
         # pair counts are approximate (mux-selected operand assumed half
         # ones, half zeros); flagged so renderers can mark them
         return HwBill(Design.REF9, inverters=4 * s, full_adders=15 * s,
                       xor_and_pairs=7 * s, xnor_or_pairs=2 * s, mux4=1,
-                      ma_width=4 * s, approximate=True)
+                      ma_width=ma_width, approximate=True)
     return HwBill(Design.REF11, inverters=2 * s + 1, full_adders=2 * s,
-                  xors=1, half_adders=1, mux2=2, ma_width=2 * s)
+                  xors=1, half_adders=1, mux2=2, ma_width=ma_width)
 
 
 def modular_adder_area(width: int) -> int:
@@ -195,18 +202,14 @@ def area_total(bill: HwBill) -> int:
     return area
 
 
-# (CSA levels, 2:1-mux levels) on each design's critical path.
-_PATH_LEVELS = {Design.OURS: (1, 0), Design.REF1: (3, 0),
-               Design.REF9: (4, 0), Design.REF11: (1, 1)}
-
-
 def delay_total(design: ConverterDesign) -> int:
     """Critical-path delay: operand prep + adder levels (+ mux) + modular add."""
+    if not isinstance(design, ConverterDesign):
+        raise ParameterError(f"expected a ConverterDesign, got {design!r}")
     costs = DEFAULT_COSTS
-    ma_width = hw_bill(design).ma_width  # checks the type before .tag
-    csa, mux = _PATH_LEVELS[design.tag]
+    csa, mux, ma_per_size = _PATH_LEVELS[design.tag]
     return (costs.delay_inv + csa * costs.delay_fa + mux * costs.delay_mux
-            + modular_adder_delay(ma_width))
+            + modular_adder_delay(ma_per_size * design.size))
 
 
 class ChannelAdder(Enum):
@@ -302,6 +305,8 @@ def _render(cells: list[list[str]], format: str) -> str:
 
 def emit_table(rows: list[CostReport], format: str = "text") -> str:
     """Render comparison rows; csv output is contract-stable."""
+    if not isinstance(rows, (list, tuple)):
+        raise ParameterError(f"expected a list of CostReports, got {rows!r}")
     if not rows:
         raise ParameterError("need at least one row")
     for r in rows:

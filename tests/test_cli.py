@@ -198,7 +198,10 @@ def test_verify_lists_roundtrip_and_lemma_failures(capsys, monkeypatch):
 
 
 def test_verify_lists_channel_failures(capsys, monkeypatch):
-    monkeypatch.setattr(channels, "channel_op", lambda chan, op, a, b: -1)
+    rns_op = channels.rns_op
+    monkeypatch.setattr(channels, "rns_op", lambda ms, op, a, b: (
+        rns_op(ms, op, a, b) if a._set is ms and b._set is ms
+        else core.ResidueVector(-1, -1, -1)))
     code, out, _ = run(capsys, "verify", "--n", "1", "--exhaustive")
     assert code == 1
     # 1000 sampled pairs still pass through rns_op; every channel case fails.

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from rns3 import core
 from rns3.channels import reduce_mod, rns_op
-from rns3.converter import decode_trace, prepare_operands, reverse_convert
+from rns3.converter import BitWord, decode_trace, prepare_operands, reverse_convert
 from rns3.core import (
     ResidueVector,
     crt_reconstruct,
@@ -26,6 +26,7 @@ from rns3.core import (
     pairwise_coprime,
     validate_residues,
 )
+from rns3.costs import emit_table
 from rns3.errors import OutOfRangeError, ParameterError, ResidueError
 
 
@@ -106,6 +107,27 @@ def test_pairwise_coprime_bad_input():
         pairwise_coprime([])
     with pytest.raises(ParameterError):
         pairwise_coprime([0, 3])
+
+
+# Each call passes an argument of the wrong type, which must be refused
+# at the boundary, not surface as an AttributeError, ValueError or
+# TypeError from inside, nor be taken for an int.
+WRONG_TYPED_INPUTS = {
+    "inverse_constants-None": lambda: inverse_constants(None),
+    "pairwise_coprime-bool": lambda: pairwise_coprime([True, 3]),
+    "pairwise_coprime-float": lambda: pairwise_coprime([1.5, 3]),
+    "pairwise_coprime-int": lambda: pairwise_coprime(5),
+    "BitWord.concat-int": lambda: BitWord.concat([1]),
+    "BitWord.ones-negative": lambda: BitWord.ones(-1),
+    "BitWord.ones-str": lambda: BitWord.ones("3"),
+    "emit_table-int": lambda: emit_table(5),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPED_INPUTS.values(), ids=WRONG_TYPED_INPUTS)
+def test_wrong_typed_inputs_raise_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 def test_coprimality_up_to_64():
