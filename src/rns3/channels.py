@@ -122,9 +122,9 @@ def rns_op(ms: ModuliSet, op: str, a: ResidueVector, b: ResidueVector) -> Residu
     a1, a2, a3 = a.r1, a.r2, a.r3
     b1, b2, b3 = b.r1, b.r2, b.r3
     m1, m2, m3 = ms.m1, ms.m2, ms.m3
-    # The three kernels, fused for widths n, w and w: the 2^w - 1 channel
-    # shares one fold after every op, and m3 - 2 == m2 is the w-bit mask of
-    # the 2^w + 1 channel's product fold.
+    # The three channels in one block, of widths n, w and w: the 2^w - 1
+    # channel shares one fold after every op, and m3 - 2 == m2 is the w-bit
+    # mask of the 2^w + 1 channel's product fold.
     w = 2 * ms.n
     if op == "mul":
         t1 = a1 * b1

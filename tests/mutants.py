@@ -9,15 +9,16 @@ runs
     python -m pytest -x -q -k "not python_O" <TEST_FILES>
 
 on the copy, with the mutated module's own test file first, since it
-most often fails first.  A mutant is killed when pytest fails.  The
-script exits 1 if any mutant survives, or if any row's text (EQUIVALENT
-rows included) does not occur exactly once, so the table keeps pace with
-the code.
+most often fails first.  The same command first runs once on an
+unmutated copy, and the script exits 1 unless that run passes, so a kill
+counts only against a suite that passes on the clean tree.  A mutant is
+killed when pytest fails.  The script exits 1 if any mutant survives, or
+if any row's text (EQUIVALENT rows included) does not occur exactly
+once, so the table keeps pace with the code.
 
-Run from the repository root:
+Run every row from the repository root:
 
-    python tests/mutants.py            # every row
-    python tests/mutants.py rns_op     # rows whose label contains "rns_op"
+    python tests/mutants.py
 
 A change to a kernel adds its mutants here.  The file is not named
 test_*, so the tier-1 suite does not collect it.
@@ -164,7 +165,7 @@ def run_mutant(path: str, text: str, replacement: str) -> tuple[bool, float]:
         return result.returncode != 0, time.perf_counter() - t0
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     bad = check_table()
     for complaint in bad:
         print(f"STALE  {complaint}")
@@ -172,17 +173,22 @@ def main(argv: list[str]) -> int:
         return 1
     for label, _, _, _, why in EQUIVALENT:
         print(f"equivalent, not run: {label}: {why}")
-    rows = [row for row in MUTANTS if not argv or any(a in row[0] for a in argv)]
+    _, path, text, _, _ = MUTANTS[0]
+    failed, seconds = run_mutant(path, text, text)  # the text left as it is
+    if failed:
+        print(f"FAILED   {seconds:5.1f} s  the suite on an unmutated copy")
+        return 1
+    print(f"passed   {seconds:5.1f} s  the suite on an unmutated copy", flush=True)
     survivors = []
-    for label, path, text, replacement, breaks in rows:
+    for label, path, text, replacement, breaks in MUTANTS:
         killed, seconds = run_mutant(path, text, replacement)
         print(f"{'killed' if killed else 'SURVIVED':8} {seconds:5.1f} s  "
               f"{label}: {breaks}", flush=True)
         if not killed:
             survivors.append(label)
-    print(f"{len(rows) - len(survivors)} of {len(rows)} mutants killed")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
