@@ -15,9 +15,11 @@ without a loop or a division:
   finishes them; a product p becomes (p mod 2^(2n)) - (p >> 2n), which
   lies in [-2^(2n), 2^(2n)) even for p = 2^(4n), and takes the same +m.
 
-rns_op trusts operands stamped with its set (see core.ResidueVector);
-others pass _check_origin, then channel_op's operand-then-op check per
-channel.  It stamps its result with the set.
+rns_op reads its masks and the width 2n from the set, which derives them
+once (see core.ModuliSet).  It trusts operands stamped with its set (see
+core.ResidueVector); others pass _check_origin, then channel_op's
+operand-then-op check per channel.  It builds its result in place,
+stamped with the set.
 
 channel_op and reduce_mod are the plain references, for one channel of
 any width: they check their arguments, then reduce with Python's %.
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from rns3.core import ModuliSet, ResidueVector, _canonical, _check_origin
+from rns3.core import ModuliSet, ResidueVector, _check_origin, _new
 from rns3.errors import ParameterError, ResidueError
 
 CHANNEL_OPS = ("add", "sub", "mul")
@@ -121,11 +123,10 @@ def rns_op(ms: ModuliSet, op: str, a: ResidueVector, b: ResidueVector) -> Residu
             _check_channel(m, op, u, v)
     a1, a2, a3 = a.r1, a.r2, a.r3
     b1, b2, b3 = b.r1, b.r2, b.r3
-    m1, m2, m3 = ms.m1, ms.m2, ms.m3
+    m2, m3, w = ms.m2, ms.m3, ms.chan_bits
     # The three channels in one block, of widths n, w and w: the 2^w - 1
     # channel shares one fold after every op, and m3 - 2 == m2 is the w-bit
     # mask of the 2^w + 1 channel's product fold.
-    w = 2 * ms.n
     if op == "mul":
         t1 = a1 * b1
         t2 = a2 * b2
@@ -143,8 +144,13 @@ def rns_op(ms: ModuliSet, op: str, a: ResidueVector, b: ResidueVector) -> Residu
     else:
         raise ParameterError(f"unknown channel op {op!r}")
     t2 = (t2 & m2) + (t2 >> w)
-    return _canonical(ms, t1 & (m1 - 1), 0 if t2 == m2 else t2,
-                      t3 + m3 if t3 < 0 else t3)
+    rv = _new(ResidueVector)  # stamped in place: see core.ResidueVector
+    d = rv.__dict__
+    d["r1"] = t1 & ms.pow2_mask
+    d["r2"] = 0 if t2 == m2 else t2
+    d["r3"] = t3 + m3 if t3 < 0 else t3
+    d["_set"] = ms
+    return rv
 
 
 def rotl_mod_pow2_minus1(v: int, k: int, p: int) -> int:

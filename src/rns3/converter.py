@@ -22,11 +22,11 @@ single carry-save level suffices for all three channels.
 The layout functions below build each summand segment by segment from
 the size n alone; they are the one reference for this wiring.
 reverse_convert runs the datapath as one fused kernel on plain integers,
-with the masks fixed per ModuliSet.  decode_trace runs it through the
-public stage functions (prepare_operands, which calls the layouts,
-csa_eac and mod_add_end_around) and keeps every intermediate as a
-BitWord; that staged path is the reference the fused kernel is tested
-against.
+reading its masks and shift amounts from the ModuliSet, which derives
+them once.  decode_trace runs it through the public stage functions
+(prepare_operands, which calls the layouts, csa_eac and
+mod_add_end_around) and keeps every intermediate as a BitWord; that
+staged path is the reference the fused kernel is tested against.
 """
 
 from __future__ import annotations
@@ -208,16 +208,17 @@ def reverse_convert(ms: ModuliSet, rv: ResidueVector) -> int:
     if not checked:
         validate_residues(ms, rv)
     r1, r2, r3 = rv.r1, rv.r2, rv.r3
-    n = ms.n
-    mask, low = ms.word_mask, ms.low_mask
-    a = mask ^ ((r1 << 3 * n) | (r3 << n - 1))                      # S1'
-    b = ((r2 & low) << 3 * n - 1) | (r2 << n - 1) | (r2 >> n + 1)  # S2
-    c = ((r3 & low) << 3 * n - 1) | (r3 >> n + 1)                  # S31
+    mask, low, k = ms.word_mask, ms.low_mask, ms.word_bits
+    s3n, s3n_m1 = ms.shift_3n, ms.shift_3n_m1
+    sn_m1, sn_p1 = ms.shift_n_m1, ms.shift_n_p1
+    a = mask ^ ((r1 << s3n) | (r3 << sn_m1))                        # S1'
+    b = ((r2 & low) << s3n_m1) | (r2 << sn_m1) | (r2 >> sn_p1)     # S2
+    c = ((r3 & low) << s3n_m1) | (r3 >> sn_p1)                     # S31
     carry = ((a & b) | (a & c) | (b & c)) << 1
     # Rotate the carry word (its MSB wraps to bit 0) onto the parity word.
-    t = (a ^ b ^ c) + ((carry & mask) | (carry >> 4 * n))
-    t = (t & mask) + (t >> 4 * n)  # one end-around carry; t was < 2^(4n+1)
-    return (0 if t == mask else t) << n | r1  # X = Y * 2^n + r1
+    t = (a ^ b ^ c) + ((carry & mask) | (carry >> k))
+    t = (t & mask) + (t >> k)  # one end-around carry; t was < 2^(4n+1)
+    return (0 if t == mask else t) << ms.n | r1  # X = Y * 2^n + r1
 
 
 class DecodeTrace(NamedTuple):

@@ -17,8 +17,11 @@ multiplication or division, and stays independent of the library because
 a test pins it to a textbook CRT that calls no rns3 code.  Everything is
 arbitrary precision, so n is unbounded.
 
-A vector is trusted by its set stamp alone (see ResidueVector); any other
-vector passes _check_origin, then a check of each residue in turn.
+forward_convert reads its masks and widths from the set, which derives
+them once (see ModuliSet), and builds the vector it returns in place,
+stamped with the set.  A vector is trusted by its set stamp alone (see
+ResidueVector); any other vector passes _check_origin, then a check of
+each residue in turn.
 """
 
 from __future__ import annotations
@@ -42,9 +45,24 @@ def _derived():
 class ModuliSet:
     """Moduli, dynamic range and reconstruction weights for one size n.
 
-    The reverse converter's masks are derived from n once, here, so the
-    hot path only reads them; channels() builds the channel ids on call.
-    Sets are frozen, and make_moduli_set shares one per n.
+    The masks and shift amounts of the three hot kernels are derived from
+    n once, here, so that rns_op, forward_convert and reverse_convert only
+    read them and compute none per call:
+
+        pow2_mask    2^n - 1        the 2^n channel: r1, and X's low bits
+        chan_bits    2n             the width of the 2^(2n) +- 1 channels
+        word_mask    2^(4n) - 1     the converter's word
+        word_bits    4n             its width: the end-around carry's shift
+        low_mask     2^(n+1) - 1    the low n+1 residue bits
+        shift_3n     3n             r1's place in the summand S1'
+        shift_3n_m1  3n - 1         the rotations of r2 and r3 in the
+        shift_n_m1   n - 1          summands: left by 3n - 1 or n - 1,
+        shift_n_p1   n + 1          and the bits above n wrapped to bit 0
+
+    They are not compared, hashed or shown, so they change no set's ==,
+    hash or repr; replace() derives them again and a pickle carries them.
+    channels() builds the channel ids on call.  Sets are frozen, and
+    make_moduli_set shares one per n.
     """
 
     n: int
@@ -58,14 +76,28 @@ class ModuliSet:
     inv1: int
     inv2: int
     inv3: int
-    word_mask: int = _derived()  # 2^(4n) - 1, the converter's word
-    low_mask: int = _derived()   # 2^(n+1) - 1, the low n+1 residue bits
+    pow2_mask: int = _derived()
+    chan_bits: int = _derived()
+    word_mask: int = _derived()
+    word_bits: int = _derived()
+    low_mask: int = _derived()
+    shift_3n: int = _derived()
+    shift_3n_m1: int = _derived()
+    shift_n_m1: int = _derived()
+    shift_n_p1: int = _derived()
 
     def __post_init__(self):
         n = self.n
         setattr_ = object.__setattr__  # frozen: derived fields are set once
+        setattr_(self, "pow2_mask", (1 << n) - 1)
+        setattr_(self, "chan_bits", 2 * n)
         setattr_(self, "word_mask", (1 << 4 * n) - 1)
+        setattr_(self, "word_bits", 4 * n)
         setattr_(self, "low_mask", (1 << n + 1) - 1)
+        setattr_(self, "shift_3n", 3 * n)
+        setattr_(self, "shift_3n_m1", 3 * n - 1)
+        setattr_(self, "shift_n_m1", n - 1)
+        setattr_(self, "shift_n_p1", n + 1)
 
     def moduli(self) -> tuple[int, int, int]:
         return (self.m1, self.m2, self.m3)
@@ -89,7 +121,10 @@ class ResidueVector:
     """Canonical residue triple; bit j of a residue weighs 2^j.
 
     A vector that forward_convert or rns_op returns carries a private
-    stamp: the ModuliSet its residues were made canonical for.  The entry
+    stamp: the ModuliSet its residues were made canonical for.  Those two
+    kernels are the only places that stamp a vector; each builds its
+    result in place, object.__new__ then four stores into the instance
+    __dict__ (r1, r2, r3, _set), with no __init__ frame.  The entry
     points trust a vector stamped with the set they are given, and reject
     one stamped with a set of another n; any other vector is checked in
     full.  The stamp is not a field, so fields(), repr, ==, hash and
@@ -112,20 +147,6 @@ class ResidueVector:
 
 
 _new = object.__new__
-
-
-def _canonical(ms: ModuliSet, r1: int, r2: int, r3: int) -> ResidueVector:
-    """A vector of residues already canonical for ms, stamped with ms.
-
-    The one builder of stamped vectors; it runs no __init__ frame.
-    """
-    rv = _new(ResidueVector)
-    d = rv.__dict__
-    d["r1"] = r1
-    d["r2"] = r2
-    d["r3"] = r3
-    d["_set"] = ms
-    return rv
 
 
 def _check_origin(ms: ModuliSet, rv) -> None:
@@ -224,8 +245,8 @@ def forward_convert(ms: ModuliSet, x: int) -> ResidueVector:
         raise ParameterError(f"expected a ModuliSet, got {ms!r}") from None
     if x >= M:
         raise OutOfRangeError(f"X must be < {M}")
-    w, m2, m3 = 2 * ms.n, ms.m2, ms.m3
-    lo, mid, hi = x & m2, (x >> w) & m2, x >> 2 * w  # hi < 2^n
+    w, m2, m3 = ms.chan_bits, ms.m2, ms.m3
+    lo, mid, hi = x & m2, (x >> w) & m2, x >> ms.word_bits  # hi < 2^n
     r2 = lo + mid + hi  # below 3 * 2^w: two end-around folds
     r2 = (r2 & m2) + (r2 >> w)
     r2 = (r2 & m2) + (r2 >> w)
@@ -234,7 +255,13 @@ def forward_convert(ms: ModuliSet, x: int) -> ResidueVector:
         r3 += m3
     elif r3 >= m3:
         r3 -= m3
-    return _canonical(ms, x & (ms.m1 - 1), 0 if r2 == m2 else r2, r3)
+    rv = _new(ResidueVector)  # stamped in place: see ResidueVector
+    d = rv.__dict__
+    d["r1"] = x & ms.pow2_mask
+    d["r2"] = 0 if r2 == m2 else r2
+    d["r3"] = r3
+    d["_set"] = ms
+    return rv
 
 
 def crt_reconstruct(ms: ModuliSet, rv: ResidueVector) -> int:

@@ -58,8 +58,11 @@ MUTANTS = [
      "t3 = (t3 & m2) - (t3 >> w)", "t3 = (t3 & m2) + (t3 >> w)",
      "2^(2n) is -1 modulo 2^(2n) + 1, not +1"),
     ("rns_op pow2 mask", "src/rns3/channels.py",
-     "t1 & (m1 - 1)", "t1",
+     'd["r1"] = t1 & ms.pow2_mask', 'd["r1"] = t1',
      "the 2^n channel is never reduced"),
+    ("rns_op stamp store", "src/rns3/channels.py",
+     'd["_set"] = ms', "pass",
+     "results come back unstamped, so the next rns_op checks them in full"),
     ("rns_op stamp of b", "src/rns3/channels.py",
      "checked = a._set is ms and b._set is ms", "checked = a._set is ms",
      "a hand-built b skips its checks beside a stamped a"),
@@ -76,17 +79,24 @@ MUTANTS = [
     ("forward_convert all-ones -> 0", "src/rns3/core.py",
      "0 if r2 == m2 else r2", "r2",
      "X = m2 encodes r2 as m2, not 0"),
+    ("forward_convert stamp store", "src/rns3/core.py",
+     'd["_set"] = ms', "pass",
+     "vectors come back unstamped, so every kernel checks them in full"),
+    ("derived pow2 mask", "src/rns3/core.py",
+     'setattr_(self, "pow2_mask", (1 << n) - 1)',
+     'setattr_(self, "pow2_mask", (1 << n + 1) - 1)',
+     "the 2^n channel keeps bit n: r1 reaches 2^(n+1) - 1"),
     ("reverse_convert carry wrap", "src/rns3/converter.py",
-     "((carry & mask) | (carry >> 4 * n))", "(carry & mask)",
+     "((carry & mask) | (carry >> k))", "(carry & mask)",
      "the CSA carry out of the MSB is dropped, not wrapped to bit 0"),
     ("reverse_convert end-around carry", "src/rns3/converter.py",
-     "t = (t & mask) + (t >> 4 * n)", "t = t & mask",
+     "t = (t & mask) + (t >> k)", "t = t & mask",
      "the final adder's carry out is dropped"),
     ("reverse_convert all-ones -> 0", "src/rns3/converter.py",
-     "(0 if t == mask else t) << n | r1", "t << n | r1",
+     "(0 if t == mask else t) << ms.n | r1", "t << ms.n | r1",
      "Y = 2^(4n) - 1 is returned for Y = 0"),
     ("reverse_convert S2 wiring", "src/rns3/converter.py",
-     "| (r2 << n - 1) |", "| (r2 << n) |",
+     "| (r2 << sn_m1) |", "| (r2 << sn_m1 + 1) |",
      "the middle copy of r2 is wired one bit too high"),
     ("crt_reconstruct second -M", "src/rns3/core.py",
      "        x -= M\n        if x >= M:\n            x -= M\n",

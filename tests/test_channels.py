@@ -201,7 +201,7 @@ def test_rns_op_matches_channel_op_exhaustive(n):
                         zip(ms.channels(), a.astuple(), b.astuple()))
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_rns_op_matches_channel_op_exhaustive_stamped(n):
     # As above, with the operands from forward_convert: they carry the
     # set's stamp, so rns_op skips its checks and runs the kernel directly.
@@ -302,15 +302,22 @@ def test_homomorphism_add_exhaustive_n1():
 
 
 def test_homomorphism_channel_factorized_n2_n3():
-    # Per-channel addition is exhausted over every operand pair; the
-    # vector-level composition is exercised separately on sampled pairs.
+    # rns_op is exhausted channel by channel over every operand pair and
+    # op, on stamped operands: forward_convert of the CRT value a * e_i,
+    # which is a in channel i and 0 in the others.  The vector-level
+    # composition is exercised separately on sampled pairs.
     for n in (2, 3):
         ms = make_moduli_set(n)
-        for chan in ms.channels():
-            m = chan.modulus
+        for i, m in enumerate(ms.moduli()):
+            mhat = ms.M // m
+            e = mhat * pow(mhat, -1, m) % ms.M
+            vecs = [forward_convert(ms, a * e % ms.M) for a in range(m)]
             for a in range(m):
                 for b in range(m):
-                    assert channel_op(chan, "add", a, b) == (a + b) % m
+                    for op in CHANNEL_OPS:
+                        c = REFERENCE_OPS[op](a, b) % m
+                        assert rns_op(ms, op, vecs[a], vecs[b]).astuple() == tuple(
+                            c if j == i else 0 for j in range(3))
         rng = random.Random(n)
         for _ in range(10000):
             x, y = rng.randrange(ms.M), rng.randrange(ms.M)

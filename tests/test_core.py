@@ -95,6 +95,47 @@ def test_moduli_set_product_invariants():
         assert ms.mhat3 * ms.m3 == ms.M
 
 
+# Every constant a set derives once for the hot kernels, by its closed form.
+DERIVED = {
+    "pow2_mask": lambda n: 2 ** n - 1,
+    "chan_bits": lambda n: 2 * n,
+    "word_mask": lambda n: 2 ** (4 * n) - 1,
+    "word_bits": lambda n: 4 * n,
+    "low_mask": lambda n: 2 ** (n + 1) - 1,
+    "shift_3n": lambda n: 3 * n,
+    "shift_3n_m1": lambda n: 3 * n - 1,
+    "shift_n_m1": lambda n: n - 1,
+    "shift_n_p1": lambda n: n + 1,
+}
+
+
+def test_derived_constants_match_closed_forms():
+    fields = dataclasses.fields(core.ModuliSet)
+    derived = [f for f in fields if not f.init]
+    assert sorted(f.name for f in derived) == sorted(DERIVED)
+    assert not any(f.compare or f.repr for f in derived)
+    for n in [*range(1, 65), 4096]:
+        ms = make_moduli_set(n)
+        twin = dataclasses.replace(ms)
+        unpickled = pickle.loads(pickle.dumps(ms))
+        for s in (ms, twin, unpickled):
+            for name, form in DERIVED.items():
+                assert getattr(s, name) == form(n), (n, name)
+        # The derived fields leave ==, hash and repr to the 11 set fields,
+        # even when they disagree.
+        odd = copy.copy(ms)
+        for name in DERIVED:
+            object.__setattr__(odd, name, -1)
+        values = tuple(getattr(ms, f.name) for f in fields if f.init)
+        for s in (twin, unpickled, odd):
+            assert s == ms and hash(s) == hash(ms) == hash(values)
+            # M of n = 4096 has more digits than int to str allows.
+            assert n == 4096 or repr(s) == repr(ms)
+    assert repr(make_moduli_set(1)) == (
+        "ModuliSet(n=1, m1=2, m2=3, m3=5, M=30, mhat1=15, mhat2=10, mhat3=6, "
+        "inv1=1, inv2=1, inv3=1)")
+
+
 def test_pairwise_coprime():
     assert pairwise_coprime([4, 15, 17])
     assert not pairwise_coprime([2, 4, 15])
