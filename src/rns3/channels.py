@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from rns3.core import ModuliSet, ResidueVector, _check_origin, _new
-from rns3.errors import ParameterError, ResidueError
+from rns3.errors import ParameterError, ResidueError, _shown
 
 CHANNEL_OPS = ("add", "sub", "mul")
 
@@ -60,11 +60,12 @@ class ChannelId:
     def __post_init__(self):
         if not isinstance(self.kind, ChannelKind):
             raise ParameterError(
-                f"channel kind {self.kind!r} is not a ChannelKind")
+                f"channel kind {_shown(self.kind)} is not a ChannelKind")
         if type(self.k) is not int:
-            raise ParameterError(f"channel width {self.k!r} is not an int")
+            raise ParameterError(f"channel width {_shown(self.k)} is not an int")
         if self.k < 1:
-            raise ParameterError(f"channel width must be >= 1, got {self.k}")
+            raise ParameterError(
+                f"channel width must be >= 1, got {_shown(self.k)}")
         modulus = 1 << self.k
         if self.kind is ChannelKind.POW2_MINUS1:
             modulus -= 1
@@ -76,9 +77,9 @@ class ChannelId:
 def reduce_mod(chan: ChannelId, x: int) -> int:
     """x >= 0 reduced into [0, modulus) by Python's %."""
     if not isinstance(chan, ChannelId):
-        raise ParameterError(f"expected a ChannelId, got {chan!r}")
+        raise ParameterError(f"expected a ChannelId, got {_shown(chan)}")
     if type(x) is not int:
-        raise ParameterError(f"reduce_mod expects an int, got {x!r}")
+        raise ParameterError(f"reduce_mod expects an int, got {_shown(x)}")
     if x < 0:
         raise ParameterError("reduce_mod expects a non-negative value")
     return x % chan.modulus
@@ -86,9 +87,10 @@ def reduce_mod(chan: ChannelId, x: int) -> int:
 
 def _check_operand(v, m: int, name: str = "operand") -> None:
     if type(v) is not int:
-        raise ResidueError(f"{name} {v!r} is not an int")
+        raise ResidueError(f"{name} {_shown(v)} is not an int")
     if not 0 <= v < m:
-        raise ResidueError(f"{name} {v} out of range for modulus {m}")
+        raise ResidueError(
+            f"{name} {_shown(v)} out of range for modulus {_shown(m)}")
 
 
 def _check_channel(m: int, op: str, a, b) -> None:
@@ -96,13 +98,13 @@ def _check_channel(m: int, op: str, a, b) -> None:
     _check_operand(a, m)
     _check_operand(b, m)
     if op not in CHANNEL_OPS:
-        raise ParameterError(f"unknown channel op {op!r}")
+        raise ParameterError(f"unknown channel op {_shown(op)}")
 
 
 def channel_op(chan: ChannelId, op: str, a: int, b: int) -> int:
     """add/sub/mul of two canonical residues of one channel, by Python's %."""
     if not isinstance(chan, ChannelId):
-        raise ParameterError(f"expected a ChannelId, got {chan!r}")
+        raise ParameterError(f"expected a ChannelId, got {_shown(chan)}")
     m = chan.modulus
     _check_channel(m, op, a, b)
     if op == "mul":
@@ -142,7 +144,7 @@ def rns_op(ms: ModuliSet, op: str, a: ResidueVector, b: ResidueVector) -> Residu
         t2 = a2 - b2 + m2
         t3 = a3 - b3
     else:
-        raise ParameterError(f"unknown channel op {op!r}")
+        raise ParameterError(f"unknown channel op {_shown(op)}")
     t2 = (t2 & m2) + (t2 >> w)
     rv = _new(ResidueVector)  # stamped in place: see core.ResidueVector
     d = rv.__dict__
@@ -162,7 +164,7 @@ def rotl_mod_pow2_minus1(v: int, k: int, p: int) -> int:
     """
     if type(k) is not int or k < 1 or type(p) is not int:
         raise ParameterError(f"need an int width >= 1 and an int shift count, "
-                             f"got {k!r} and {p!r}")
+                             f"got {_shown(k)} and {_shown(p)}")
     mask = (1 << k) - 1
     _check_operand(v, mask, "value")
     if p < 0:
@@ -174,7 +176,7 @@ def rotl_mod_pow2_minus1(v: int, k: int, p: int) -> int:
 def neg_mod_pow2_minus1(v: int, k: int) -> int:
     """-v mod (2^k - 1) via one's complement; all-ones canonicalizes to 0."""
     if type(k) is not int or k < 1:
-        raise ParameterError(f"need an int width >= 1, got {k!r}")
+        raise ParameterError(f"need an int width >= 1, got {_shown(k)}")
     mask = (1 << k) - 1
     _check_operand(v, mask, "value")
     c = v ^ mask

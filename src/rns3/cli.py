@@ -20,7 +20,7 @@ import time
 from random import Random
 
 from rns3 import channels, converter, core, costs
-from rns3.errors import RnsError
+from rns3.errors import RnsError, _shown
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_encode(args) -> int:
     ms = core.make_moduli_set(args.n)
     rv = core.forward_convert(ms, args.x)
-    print(f"R1={rv.r1} R2={rv.r2} R3={rv.r3}")
+    print("R1={} R2={} R3={}".format(*map(format_decimal, rv.astuple())))
     return EXIT_OK
 
 
@@ -280,10 +280,11 @@ def cmd_costs(args) -> int:
         print(costs.emit_table(costs.table4(), args.format), end="")
         return EXIT_OK
     if args.table not in (1, 2, 3):
-        print(f"unknown table id {args.table} (expected 1-4)", file=sys.stderr)
+        print(f"unknown table id {_shown(args.table)} (expected 1-4)",
+              file=sys.stderr)
         return EXIT_USAGE
     if args.n is None:
-        print(f"table {args.table} needs --n", file=sys.stderr)
+        print(f"table {_shown(args.table)} needs --n", file=sys.stderr)
         return EXIT_USAGE
     if args.table == 1:
         out = costs.render_bill_table(args.n, args.m, args.format)

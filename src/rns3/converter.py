@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from rns3.core import ModuliSet, ResidueVector, validate_residues
-from rns3.errors import ParameterError
+from rns3.errors import ParameterError, _shown
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,14 @@ class BitWord:
     def __post_init__(self):
         if type(self.value) is not int or type(self.width) is not int:
             raise ParameterError(
-                f"value {self.value!r} and width {self.width!r} must be ints")
+                f"value {_shown(self.value)} and width {_shown(self.width)} "
+                "must be ints")
         if self.width < 0:
             raise ParameterError("width must be >= 0")
         if not 0 <= self.value < (1 << self.width):
             raise ParameterError(
-                f"value {self.value} does not fit in {self.width} bits")
+                f"value {_shown(self.value)} does not fit in "
+                f"{_shown(self.width)} bits")
 
     @classmethod
     def concat(cls, segments: list[BitWord]) -> BitWord:
@@ -62,7 +64,7 @@ class BitWord:
         width = 0
         for seg in segments:
             if not isinstance(seg, BitWord):
-                raise ParameterError(f"expected a BitWord, got {seg!r}")
+                raise ParameterError(f"expected a BitWord, got {_shown(seg)}")
             value = (value << seg.width) | seg.value
             width += seg.width
         return cls(value, width)
@@ -70,7 +72,7 @@ class BitWord:
     @classmethod
     def ones(cls, width: int) -> BitWord:
         if type(width) is not int or width < 0:
-            raise ParameterError(f"width must be an int >= 0, got {width!r}")
+            raise ParameterError(f"width must be an int >= 0, got {_shown(width)}")
         return cls((1 << width) - 1, width)
 
     @classmethod

@@ -7,6 +7,9 @@ M = 2^n * (2^(4n) - 1), and the reconstruction weights have closed forms:
     mhat2 = 2^n * (2^(2n) + 1)   inv2 = 2^(n-1)
     mhat3 = 2^n * (2^(2n) - 1)   inv3 = 2^(n-1)
 
+n fixes all of these, so a set is its n: ModuliSet(n) derives every
+other field and compares, hashes and prints by n alone.
+
 forward_convert splits an integer X < 2^(5n) into three 2n-bit chunks
 lo, mid and hi; since 2^(2n) is 1 modulo 2^(2n)-1 and -1 modulo
 2^(2n)+1, the residues are the chunk sums lo + mid + hi and lo - mid + hi,
@@ -31,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from rns3.errors import OutOfRangeError, ParameterError, ResidueError
+from rns3.errors import OutOfRangeError, ParameterError, ResidueError, _shown
 
 if TYPE_CHECKING:
     from rns3.channels import ChannelId
@@ -43,11 +46,12 @@ def _derived():
 
 @dataclass(frozen=True)
 class ModuliSet:
-    """Moduli, dynamic range and reconstruction weights for one size n.
+    """The moduli set of size n >= 1: n is its only field.
 
-    The masks and shift amounts of the three hot kernels are derived from
-    n once, here, so that rns_op, forward_convert and reverse_convert only
-    read them and compute none per call:
+    ModuliSet(n) checks n and the set's invariants and derives the rest
+    once: the moduli, M and the weights of the module docstring, and the
+    masks and shift amounts that rns_op, forward_convert and
+    reverse_convert read, so that they compute none per call:
 
         pow2_mask    2^n - 1        the 2^n channel: r1, and X's low bits
         chan_bits    2n             the width of the 2^(2n) +- 1 channels
@@ -59,23 +63,23 @@ class ModuliSet:
         shift_n_m1   n - 1          summands: left by 3n - 1 or n - 1,
         shift_n_p1   n + 1          and the bits above n wrapped to bit 0
 
-    They are not compared, hashed or shown, so they change no set's ==,
-    hash or repr; replace() derives them again and a pickle carries them.
-    channels() builds the channel ids on call.  Sets are frozen, and
-    make_moduli_set shares one per n.
+    So a set is its n: ==, hash and repr read n alone, replace(ms, n=k)
+    is the set of k, and replace() refuses a derived field; a pickle
+    carries them.  channels() builds the channel ids on call.  Sets are
+    frozen, and make_moduli_set shares one per n.
     """
 
     n: int
-    m1: int
-    m2: int
-    m3: int
-    M: int
-    mhat1: int
-    mhat2: int
-    mhat3: int
-    inv1: int
-    inv2: int
-    inv3: int
+    m1: int = _derived()
+    m2: int = _derived()
+    m3: int = _derived()
+    M: int = _derived()
+    mhat1: int = _derived()
+    mhat2: int = _derived()
+    mhat3: int = _derived()
+    inv1: int = _derived()
+    inv2: int = _derived()
+    inv3: int = _derived()
     pow2_mask: int = _derived()
     chan_bits: int = _derived()
     word_mask: int = _derived()
@@ -88,16 +92,27 @@ class ModuliSet:
 
     def __post_init__(self):
         n = self.n
-        setattr_ = object.__setattr__  # frozen: derived fields are set once
-        setattr_(self, "pow2_mask", (1 << n) - 1)
-        setattr_(self, "chan_bits", 2 * n)
-        setattr_(self, "word_mask", (1 << 4 * n) - 1)
-        setattr_(self, "word_bits", 4 * n)
-        setattr_(self, "low_mask", (1 << n + 1) - 1)
-        setattr_(self, "shift_3n", 3 * n)
-        setattr_(self, "shift_3n_m1", 3 * n - 1)
-        setattr_(self, "shift_n_m1", n - 1)
-        setattr_(self, "shift_n_p1", n + 1)
+        if type(n) is not int:
+            raise ParameterError(f"set parameter n must be an int, got {_shown(n)}")
+        if n < 1:
+            raise ParameterError(f"set parameter n must be >= 1, got {_shown(n)}")
+        m1, m2, m3 = 1 << n, (1 << 2 * n) - 1, (1 << 2 * n) + 1
+        mhat1 = (1 << 4 * n) - 1  # = m2 * m3; every M // m_i is a shift
+        for name, value in dict(
+                m1=m1, m2=m2, m3=m3, M=mhat1 << n,
+                mhat1=mhat1, mhat2=m3 << n, mhat3=m2 << n,
+                inv1=m1 - 1, inv2=1 << (n - 1), inv3=1 << (n - 1),
+                pow2_mask=(1 << n) - 1, chan_bits=2 * n,
+                word_mask=(1 << 4 * n) - 1, word_bits=4 * n,
+                low_mask=(1 << n + 1) - 1, shift_3n=3 * n,
+                shift_3n_m1=3 * n - 1, shift_n_m1=n - 1, shift_n_p1=n + 1,
+        ).items():
+            object.__setattr__(self, name, value)  # frozen: set once, here
+        # The invariants fail only on a library defect, not on user input;
+        # they are checked explicitly so that they also hold under python -O.
+        if not pairwise_coprime([m1, m2, m3]):
+            raise ParameterError(f"the moduli of n={n} are not pairwise coprime")
+        _check_weights(self)
 
     def moduli(self) -> tuple[int, int, int]:
         return (self.m1, self.m2, self.m3)
@@ -154,9 +169,9 @@ def _check_origin(ms: ModuliSet, rv) -> None:
     rv is a ResidueVector not stamped with a set of another n: the channel
     ranges of a smaller set nest in a larger one's, unseen by range checks."""
     if not isinstance(ms, ModuliSet):
-        raise ParameterError(f"expected a ModuliSet, got {ms!r}")
+        raise ParameterError(f"expected a ModuliSet, got {_shown(ms)}")
     if not isinstance(rv, ResidueVector):
-        raise ResidueError(f"expected a ResidueVector, got {rv!r}")
+        raise ResidueError(f"expected a ResidueVector, got {_shown(rv)}")
     stamp = rv._set
     if stamp is not _UNSTAMPED and stamp.n != ms.n:
         raise ResidueError(f"the vector was built for the set of n={stamp.n}, "
@@ -168,32 +183,15 @@ def make_moduli_set(n: int) -> ModuliSet:
 
     Sets are frozen and shared, one per n: the sets of the 16 sizes used
     last are kept, so a repeated call returns the same object, built and
-    checked once.
+    checked once.  A build that raises is not kept.
     """
     # Type-check before the cache lookup: True == 1 and the two hash alike.
     if type(n) is not int:
-        raise ParameterError(f"set parameter n must be an int, got {n!r}")
-    if n < 1:
-        raise ParameterError(f"set parameter n must be >= 1, got {n}")
+        raise ParameterError(f"set parameter n must be an int, got {_shown(n)}")
     return _moduli_set(n)
 
 
-@functools.lru_cache(maxsize=16)
-def _moduli_set(n: int) -> ModuliSet:
-    m1, m2, m3 = 1 << n, (1 << 2 * n) - 1, (1 << 2 * n) + 1
-    mhat1 = (1 << 4 * n) - 1  # = m2 * m3; every M // m_i is a shift
-    ms = ModuliSet(
-        n=n, m1=m1, m2=m2, m3=m3, M=mhat1 << n,
-        mhat1=mhat1, mhat2=m3 << n, mhat3=m2 << n,
-        inv1=m1 - 1, inv2=1 << (n - 1), inv3=1 << (n - 1),
-    )
-    # Failures here are library defects, not user errors; they are checked
-    # explicitly so that they also hold under python -O.  A build that
-    # raises is not cached.
-    if not pairwise_coprime([m1, m2, m3]):
-        raise ParameterError(f"moduli {ms.moduli()} are not pairwise coprime")
-    _check_weights(ms)
-    return ms
+_moduli_set = functools.lru_cache(maxsize=16)(ModuliSet)
 
 
 def _check_weights(ms: ModuliSet) -> None:
@@ -201,18 +199,18 @@ def _check_weights(ms: ModuliSet) -> None:
                          (ms.mhat2, ms.inv2, ms.m2),
                          (ms.mhat3, ms.inv3, ms.m3)):
         if mhat * inv % m != 1:
-            raise ParameterError(
-                f"weight {inv} is not the inverse of {mhat} modulo {m}")
+            raise ParameterError(f"weight {_shown(inv)} is not the inverse of "
+                                 f"{_shown(mhat)} modulo {_shown(m)}")
 
 
 def pairwise_coprime(values: list[int]) -> bool:
     """True iff every pair of values has gcd 1."""
     if not isinstance(values, (list, tuple)):
-        raise ParameterError(f"expected a list of ints, got {values!r}")
+        raise ParameterError(f"expected a list of ints, got {_shown(values)}")
     if not values:
         raise ParameterError("need at least one value")
     if any(type(v) is not int for v in values):
-        raise ParameterError(f"values must be ints, got {values!r}")
+        raise ParameterError(f"values must be ints, got {_shown(values)}")
     if any(v < 1 for v in values):
         raise ParameterError("values must be >= 1")
     return all(
@@ -228,23 +226,24 @@ def validate_residues(ms: ModuliSet, rv: ResidueVector) -> None:
     _check_origin(ms, rv)
     for idx, (r, m) in enumerate(zip(rv.astuple(), ms.moduli()), start=1):
         if type(r) is not int:
-            raise ResidueError(f"R{idx}={r!r} is not an int")
+            raise ResidueError(f"R{idx}={_shown(r)} is not an int")
         if not 0 <= r < m:
-            raise ResidueError(f"R{idx}={r} out of range for modulus {m}")
+            raise ResidueError(
+                f"R{idx}={_shown(r)} out of range for modulus {_shown(m)}")
 
 
 def forward_convert(ms: ModuliSet, x: int) -> ResidueVector:
     """Split x in [0, M) into its canonical residue triple."""
     if type(x) is not int:
-        raise OutOfRangeError(f"X must be an int, got {x!r}")
+        raise OutOfRangeError(f"X must be an int, got {_shown(x)}")
     if x < 0:
         raise OutOfRangeError("X must be >= 0")
     try:
         M = ms.M
     except AttributeError:
-        raise ParameterError(f"expected a ModuliSet, got {ms!r}") from None
+        raise ParameterError(f"expected a ModuliSet, got {_shown(ms)}") from None
     if x >= M:
-        raise OutOfRangeError(f"X must be < {M}")
+        raise OutOfRangeError(f"X must be < {_shown(M)}")
     w, m2, m3 = ms.chan_bits, ms.m2, ms.m3
     lo, mid, hi = x & m2, (x >> w) & m2, x >> ms.word_bits  # hi < 2^n
     r2 = lo + mid + hi  # below 3 * 2^w: two end-around folds
@@ -297,6 +296,6 @@ def crt_reconstruct(ms: ModuliSet, rv: ResidueVector) -> int:
 def inverse_constants(ms: ModuliSet) -> tuple[int, int, int]:
     """The closed-form weights (2^n - 1, 2^(n-1), 2^(n-1)), re-verified."""
     if not isinstance(ms, ModuliSet):
-        raise ParameterError(f"expected a ModuliSet, got {ms!r}")
+        raise ParameterError(f"expected a ModuliSet, got {_shown(ms)}")
     _check_weights(ms)
     return (ms.inv1, ms.inv2, ms.inv3)

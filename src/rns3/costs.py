@@ -34,42 +34,40 @@ from dataclasses import astuple, dataclass, fields
 from enum import Enum
 
 from rns3 import converter
-from rns3.errors import ParameterError
+from rns3.errors import ParameterError, _shown
 
 
 def ceil_log2(x: int) -> int:
     """Smallest e with 2^e >= x, for x >= 1."""
     if type(x) is not int:
-        raise ParameterError(f"ceil_log2 needs an int, got {x!r}")
+        raise ParameterError(f"ceil_log2 needs an int, got {_shown(x)}")
     if x < 1:
         raise ParameterError("ceil_log2 needs x >= 1")
     return (x - 1).bit_length()
 
 
-@dataclass(frozen=True)
 class GateCosts:
-    """Unit-gate constants: the model's fixed reference values, read from
-    DEFAULT_COSTS by area_total and delay_total; no argument overrides them."""
+    """Unit-gate constants: the model's fixed reference values, which
+    area_total and delay_total read here; nothing overrides them."""
 
-    delay_inv: int = 1
-    delay_and: int = 1
-    delay_xor: int = 2
-    delay_fa: int = 2
-    delay_mux: int = 2
-    area_not: int = 1
-    area_and: int = 1
-    area_or: int = 1
-    area_xor: int = 2
-    area_xnor: int = 2
+    __slots__ = ()  # so GateCosts().area_fa = 5 raises too
+
+    delay_inv = 1
+    delay_and = 1
+    delay_xor = 2
+    delay_fa = 2
+    delay_mux = 2
+    area_not = 1
+    area_and = 1
+    area_or = 1
+    area_xor = 2
+    area_xnor = 2
     # composite cells: primitive sums, except the fitted mux
-    area_fa: int = 7
-    area_xor_and_pair: int = 3
-    area_xnor_or_pair: int = 3
-    area_ha: int = 3
-    area_mux2: int = 2
-
-
-DEFAULT_COSTS = GateCosts()
+    area_fa = 7
+    area_xor_and_pair = 3
+    area_xnor_or_pair = 3
+    area_ha = 3
+    area_mux2 = 2
 
 
 class Design(Enum):
@@ -88,11 +86,13 @@ class ConverterDesign:
 
     def __post_init__(self):
         if not isinstance(self.tag, Design):
-            raise ParameterError(f"design tag {self.tag!r} is not a Design")
+            raise ParameterError(f"design tag {_shown(self.tag)} is not a Design")
         if type(self.size) is not int:
-            raise ParameterError(f"design size must be an int, got {self.size!r}")
+            raise ParameterError(
+                f"design size must be an int, got {_shown(self.size)}")
         if self.size < 1:
-            raise ParameterError(f"design size must be >= 1, got {self.size}")
+            raise ParameterError(
+                f"design size must be >= 1, got {_shown(self.size)}")
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def _counted_bill(n: int) -> HwBill:
 def hw_bill(design: ConverterDesign) -> HwBill:
     """Component counts of the named converter at its size parameter."""
     if not isinstance(design, ConverterDesign):
-        raise ParameterError(f"expected a ConverterDesign, got {design!r}")
+        raise ParameterError(f"expected a ConverterDesign, got {_shown(design)}")
     s = design.size
     if design.tag is Design.OURS:
         return _counted_bill(s)
@@ -187,16 +187,15 @@ def modular_adder_delay(width: int) -> int:
 def area_total(bill: HwBill) -> int:
     """Unit-gate area of a bill, modular adder included."""
     if not isinstance(bill, HwBill):
-        raise ParameterError(f"expected an HwBill, got {bill!r}")
-    costs = DEFAULT_COSTS
-    area = (bill.inverters + bill.extra_inverters) * costs.area_not
-    area += bill.full_adders * costs.area_fa
-    area += bill.xor_and_pairs * costs.area_xor_and_pair
-    area += bill.xnor_or_pairs * costs.area_xnor_or_pair
-    area += bill.xors * costs.area_xor
-    area += bill.half_adders * costs.area_ha
-    area += bill.mux2 * costs.area_mux2
-    area += bill.mux4 * 3 * costs.area_mux2  # 4:1 mux as three 2:1 muxes
+        raise ParameterError(f"expected an HwBill, got {_shown(bill)}")
+    area = (bill.inverters + bill.extra_inverters) * GateCosts.area_not
+    area += bill.full_adders * GateCosts.area_fa
+    area += bill.xor_and_pairs * GateCosts.area_xor_and_pair
+    area += bill.xnor_or_pairs * GateCosts.area_xnor_or_pair
+    area += bill.xors * GateCosts.area_xor
+    area += bill.half_adders * GateCosts.area_ha
+    area += bill.mux2 * GateCosts.area_mux2
+    area += bill.mux4 * 3 * GateCosts.area_mux2  # 4:1 mux as three 2:1 muxes
     if bill.ma_width:
         area += modular_adder_area(bill.ma_width)
     return area
@@ -205,10 +204,10 @@ def area_total(bill: HwBill) -> int:
 def delay_total(design: ConverterDesign) -> int:
     """Critical-path delay: operand prep + adder levels (+ mux) + modular add."""
     if not isinstance(design, ConverterDesign):
-        raise ParameterError(f"expected a ConverterDesign, got {design!r}")
-    costs = DEFAULT_COSTS
+        raise ParameterError(f"expected a ConverterDesign, got {_shown(design)}")
     csa, mux, ma_per_size = _PATH_LEVELS[design.tag]
-    return (costs.delay_inv + csa * costs.delay_fa + mux * costs.delay_mux
+    return (GateCosts.delay_inv + csa * GateCosts.delay_fa
+            + mux * GateCosts.delay_mux
             + modular_adder_delay(ma_per_size * design.size))
 
 
@@ -223,11 +222,12 @@ def channel_adder_delay(kind: ChannelAdder, n: int) -> int:
     The 2^n + 2^((n+1)/2) + 1 figure is approximate by construction.
     """
     if not isinstance(kind, ChannelAdder):
-        raise ParameterError(f"channel adder kind {kind!r} is not a ChannelAdder")
+        raise ParameterError(
+            f"channel adder kind {_shown(kind)} is not a ChannelAdder")
     if type(n) is not int:
-        raise ParameterError(f"n must be an int, got {n!r}")
+        raise ParameterError(f"n must be an int, got {_shown(n)}")
     if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+        raise ParameterError(f"n must be >= 1, got {_shown(n)}")
     if kind is ChannelAdder.MOD_2POW2N_PLUS1:
         return 2 * ceil_log2(2 * n) + 6
     return 4 * ceil_log2(n) + 7
@@ -260,11 +260,12 @@ def truncate_pct(numer: int, denom: int, places: int) -> str:
     """
     if not all(type(v) is int for v in (numer, denom, places)):
         raise ParameterError(
-            f"truncate_pct needs ints, got {numer!r}, {denom!r}, {places!r}")
+            f"truncate_pct needs ints, got {_shown(numer)}, {_shown(denom)}, "
+            f"{_shown(places)}")
     if denom <= 0:
         raise ParameterError("denominator must be positive")
     if places < 0:
-        raise ParameterError(f"places must be >= 0, got {places}")
+        raise ParameterError(f"places must be >= 0, got {_shown(places)}")
     scaled = abs(numer) * 100 * 10**places // denom
     whole, frac = divmod(scaled, 10**places)
     digits = str(frac).rjust(places, "0").rstrip("0")
@@ -294,7 +295,7 @@ def _render(cells: list[list[str]], format: str) -> str:
     if format == "csv":
         return "\n".join(",".join(row) for row in cells) + "\n"
     if format != "text":
-        raise ParameterError(f"unknown format {format!r}")
+        raise ParameterError(f"unknown format {_shown(format)}")
     widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
     lines = [
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
@@ -306,12 +307,12 @@ def _render(cells: list[list[str]], format: str) -> str:
 def emit_table(rows: list[CostReport], format: str = "text") -> str:
     """Render comparison rows; csv output is contract-stable."""
     if not isinstance(rows, (list, tuple)):
-        raise ParameterError(f"expected a list of CostReports, got {rows!r}")
+        raise ParameterError(f"expected a list of CostReports, got {_shown(rows)}")
     if not rows:
         raise ParameterError("need at least one row")
     for r in rows:
         if not isinstance(r, CostReport):
-            raise ParameterError(f"expected a CostReport, got {r!r}")
+            raise ParameterError(f"expected a CostReport, got {_shown(r)}")
     cells = [[f.name for f in fields(CostReport)]]
     cells += [[str(v) for v in astuple(r)] for r in rows]
     return _render(cells, format)

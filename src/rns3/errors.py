@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the value formatting
+their messages use."""
 
 
 class RnsError(ValueError):
@@ -15,3 +16,19 @@ class OutOfRangeError(RnsError):
 
 class ResidueError(RnsError):
     """A residue lies outside its channel range [0, m_i)."""
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, at any size.
+
+    The interpreter refuses to write an int of more than 4300 decimal
+    digits (by default); such an int is shown by its bit length instead,
+    and any other value whose repr is refused by its type name.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            sign = "negative " if value < 0 else ""
+            return f"<{sign}{value.bit_length()}-bit int>"
+        return f"<{type(value).__name__} too large to show>"

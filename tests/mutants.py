@@ -83,9 +83,22 @@ MUTANTS = [
      'd["_set"] = ms', "pass",
      "vectors come back unstamped, so every kernel checks them in full"),
     ("derived pow2 mask", "src/rns3/core.py",
-     'setattr_(self, "pow2_mask", (1 << n) - 1)',
-     'setattr_(self, "pow2_mask", (1 << n + 1) - 1)',
+     "pow2_mask=(1 << n) - 1", "pow2_mask=(1 << n + 1) - 1",
      "the 2^n channel keeps bit n: r1 reaches 2^(n+1) - 1"),
+    ("derived M", "src/rns3/core.py",
+     "M=mhat1 << n,", "M=mhat1 << n - 1,",
+     "the range is halved: forward_convert refuses X in [M/2, M)"),
+    ("derived inv2", "src/rns3/core.py",
+     "inv2=1 << (n - 1),", "inv2=(1 << (n - 1)) + m2,",
+     "a weight congruent to the inverse, so _check_weights passes it, "
+     "but not canonical"),
+    ("ModuliSet n >= 1", "src/rns3/core.py",
+     "if n < 1:", "if n < 0:",
+     "ModuliSet(0) raises ValueError from a negative shift, "
+     "not ParameterError"),
+    ("huge int by bit length", "src/rns3/errors.py",
+     'return f"<{sign}{value.bit_length()}-bit int>"', "return str(value)",
+     "a message naming a 5000-digit residue raises ValueError, not RnsError"),
     ("reverse_convert carry wrap", "src/rns3/converter.py",
      "((carry & mask) | (carry >> k))", "(carry & mask)",
      "the CSA carry out of the MSB is dropped, not wrapped to bit 0"),

@@ -471,6 +471,27 @@ def test_decode_beyond_int_str_digit_limit(capsys):
     assert out.splitlines()[-1] == f"Y={x >> BIG_N} X={want}"
 
 
+def test_encode_beyond_int_str_digit_limit(capsys):
+    n = 7200  # r2 and r3 of x below have about 4335 digits
+    x = (1 << 2 * n) - 2
+    code, out, _ = run(capsys, "encode", "--n", str(n), hex(x))
+    assert code == 0
+    residues = [_from_digits(part.split("=")[1]) for part in out.split()]
+    assert residues == [(1 << n) - 2, x, x]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("decode", "--n", "2", "0", "10", "0x" + "f" * 5000),
+     "R3=<20000-bit int> out of range for modulus 17"),
+    (("costs", "--table", "0x" + "f" * 5000),
+     "unknown table id <20000-bit int> (expected 1-4)"),
+], ids=["decode", "costs"])
+def test_argument_beyond_int_str_digit_limit_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
 def test_verify_lists_failures_beyond_int_str_digit_limit(capsys, monkeypatch):
     monkeypatch.setattr(converter, "reverse_convert", lambda ms, rv: -1)
     code, out, _ = run(capsys, "verify", "--n", str(BIG_N), "--random",

@@ -27,7 +27,7 @@ from rns3.core import (
     validate_residues,
 )
 from rns3.costs import emit_table
-from rns3.errors import OutOfRangeError, ParameterError, ResidueError
+from rns3.errors import OutOfRangeError, ParameterError, ResidueError, RnsError
 
 
 def brute_force_decode(ms, rv):
@@ -95,8 +95,19 @@ def test_moduli_set_product_invariants():
         assert ms.mhat3 * ms.m3 == ms.M
 
 
-# Every constant a set derives once for the hot kernels, by its closed form.
+# Every value a set derives from n, by its closed form: the moduli, the
+# range and the weights, then the constants of the hot kernels.
 DERIVED = {
+    "m1": lambda n: 2 ** n,
+    "m2": lambda n: 2 ** (2 * n) - 1,
+    "m3": lambda n: 2 ** (2 * n) + 1,
+    "M": lambda n: 2 ** n * (2 ** (4 * n) - 1),
+    "mhat1": lambda n: 2 ** (4 * n) - 1,
+    "mhat2": lambda n: 2 ** n * (2 ** (2 * n) + 1),
+    "mhat3": lambda n: 2 ** n * (2 ** (2 * n) - 1),
+    "inv1": lambda n: 2 ** n - 1,
+    "inv2": lambda n: 2 ** (n - 1),
+    "inv3": lambda n: 2 ** (n - 1),
     "pow2_mask": lambda n: 2 ** n - 1,
     "chan_bits": lambda n: 2 * n,
     "word_mask": lambda n: 2 ** (4 * n) - 1,
@@ -111,9 +122,9 @@ DERIVED = {
 
 def test_derived_constants_match_closed_forms():
     fields = dataclasses.fields(core.ModuliSet)
-    derived = [f for f in fields if not f.init]
+    derived = [f for f in fields if not f.compare]
     assert sorted(f.name for f in derived) == sorted(DERIVED)
-    assert not any(f.compare or f.repr for f in derived)
+    assert not any(f.init or f.repr for f in derived)
     for n in [*range(1, 65), 4096]:
         ms = make_moduli_set(n)
         twin = dataclasses.replace(ms)
@@ -121,19 +132,40 @@ def test_derived_constants_match_closed_forms():
         for s in (ms, twin, unpickled):
             for name, form in DERIVED.items():
                 assert getattr(s, name) == form(n), (n, name)
-        # The derived fields leave ==, hash and repr to the 11 set fields,
-        # even when they disagree.
+        # The derived fields leave ==, hash and repr to n, even when they
+        # disagree.
         odd = copy.copy(ms)
         for name in DERIVED:
             object.__setattr__(odd, name, -1)
-        values = tuple(getattr(ms, f.name) for f in fields if f.init)
+        values = tuple(getattr(ms, f.name) for f in fields if f.compare)
         for s in (twin, unpickled, odd):
             assert s == ms and hash(s) == hash(ms) == hash(values)
-            # M of n = 4096 has more digits than int to str allows.
-            assert n == 4096 or repr(s) == repr(ms)
-    assert repr(make_moduli_set(1)) == (
-        "ModuliSet(n=1, m1=2, m2=3, m3=5, M=30, mhat1=15, mhat2=10, mhat3=6, "
-        "inv1=1, inv2=1, inv3=1)")
+            assert repr(s) == repr(ms)
+    assert repr(make_moduli_set(1)) == "ModuliSet(n=1)"
+
+
+def test_a_set_is_its_n():
+    assert [f.name for f in dataclasses.fields(core.ModuliSet) if f.init] == ["n"]
+    ms = make_moduli_set(2)
+    for twin in (dataclasses.replace(ms, n=3), core.ModuliSet(3)):
+        assert twin == make_moduli_set(3) and hash(twin) == hash((3,))
+        assert twin.moduli() == (8, 63, 65) and twin.M == 8 * 4095
+        assert crt_reconstruct(twin, forward_convert(twin, 100)) == 100
+        assert reverse_convert(twin, forward_convert(twin, 100)) == 100
+    for name in ("m2", "M", "inv2", "pow2_mask"):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(ms, **{name: 7})
+    assert repr(make_moduli_set(4096)) == "ModuliSet(n=4096)"
+
+
+@pytest.mark.parametrize("n, message", [
+    (0, "must be >= 1"), (-3, "must be >= 1"), (True, "must be an int"),
+    (2.0, "must be an int"), ("2", "must be an int")])
+def test_moduli_set_checks_n(n, message):
+    with pytest.raises(ParameterError, match=message):
+        core.ModuliSet(n)
+    with pytest.raises(ParameterError, match=message):
+        dataclasses.replace(make_moduli_set(2), n=n)
 
 
 def test_pairwise_coprime():
@@ -169,6 +201,51 @@ WRONG_TYPED_INPUTS = {
 def test_wrong_typed_inputs_raise_parameter_error(call):
     with pytest.raises(ParameterError):
         call()
+
+
+# An int of 5000 decimal digits: more than int-to-str writes by default.
+HUGE = 10 ** 5000 - 1
+
+# Each call hands an entry point an int, or a tuple holding one, too long
+# to write in decimal, with the text its message must show in its place:
+# an RnsError, not a ValueError from the int-to-str conversion.
+HUGE_INPUTS = {
+    "forward_convert-M": (
+        lambda: forward_convert(make_moduli_set(4096), make_moduli_set(4096).M),
+        "X must be < <20480-bit int>"),
+    "validate_residues": (
+        lambda: validate_residues(make_moduli_set(2), ResidueVector(0, HUGE, 0)),
+        "R2=<16610-bit int> out of range for modulus 15"),
+    "validate_residues-set": (
+        lambda: validate_residues(HUGE, ResidueVector(0, 0, 0)),
+        "expected a ModuliSet, got <16610-bit int>"),
+    "reverse_convert": (
+        lambda: reverse_convert(make_moduli_set(2), ResidueVector(0, 0, HUGE)),
+        "R3=<16610-bit int> out of range for modulus 17"),
+    "crt_reconstruct": (
+        lambda: crt_reconstruct(make_moduli_set(2), ResidueVector(-HUGE, 0, 0)),
+        "R1=<negative 16610-bit int> out of range for modulus 4"),
+    "crt_reconstruct-tuple": (
+        lambda: crt_reconstruct(make_moduli_set(2), (0, HUGE, 0)),
+        "expected a ResidueVector, got <tuple too large to show>"),
+    "rns_op": (
+        lambda: rns_op(make_moduli_set(2), "add", ResidueVector(0, 0, 0),
+                       ResidueVector(0, 0, HUGE)),
+        "operand <16610-bit int> out of range for modulus 17"),
+    "make_moduli_set": (
+        lambda: make_moduli_set(-HUGE),
+        "must be >= 1, got <negative 16610-bit int>"),
+    "BitWord": (
+        lambda: BitWord(HUGE, 8),
+        "value <16610-bit int> does not fit in 8 bits"),
+}
+
+
+@pytest.mark.parametrize("call, shown", HUGE_INPUTS.values(), ids=HUGE_INPUTS)
+def test_messages_show_huge_ints_by_bit_length(call, shown):
+    with pytest.raises(RnsError) as info:
+        call()
+    assert shown in str(info.value)
 
 
 def test_coprimality_up_to_64():
@@ -463,7 +540,8 @@ def test_set_invariants_are_checked_without_assert(monkeypatch):
 
 
 def test_inverse_constants_rejects_a_wrong_weight():
-    ms = dataclasses.replace(make_moduli_set(4), inv2=3)
+    ms = copy.copy(make_moduli_set(4))
+    object.__setattr__(ms, "inv2", 3)
     with pytest.raises(ParameterError, match="not the inverse"):
         inverse_constants(ms)
 

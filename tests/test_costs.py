@@ -52,6 +52,15 @@ def test_gate_cost_reference_values():
         (1, 1, 1, 2, 2)
 
 
+def test_gate_costs_refuse_overrides():
+    # area_total and delay_total read the class; nothing else could reach them.
+    with pytest.raises(TypeError):
+        GateCosts(delay_fa=3)
+    with pytest.raises(AttributeError):
+        GateCosts().delay_fa = 3
+    assert delay_total(ConverterDesign(Design.OURS, 2)) == 12
+
+
 def test_composite_cells_are_primitive_sums():
     c = GateCosts()
     assert c.area_fa == 2 * c.area_xor + 2 * c.area_and + c.area_or
