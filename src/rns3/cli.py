@@ -19,7 +19,7 @@ import sys
 import time
 from random import Random
 
-from rns3 import channels, converter, core, costs
+from rns3 import channels, converter, core
 from rns3.errors import RnsError, _shown
 
 EXIT_OK = 0
@@ -276,6 +276,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_costs(args) -> int:
+    # Imported here, so that no other command loads the cost model.
+    from rns3 import costs
+
     if args.table == 4:
         print(costs.emit_table(costs.table4(), args.format), end="")
         return EXIT_OK

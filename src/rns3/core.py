@@ -18,7 +18,7 @@ the weighted-sum decoder used as the correctness oracle for the bit-level
 converter; it applies the weights above as shifts and rotations, with no
 multiplication or division, and stays independent of the library because
 a test pins it to a textbook CRT that calls no rns3 code.  Everything is
-arbitrary precision, so n is unbounded.
+arbitrary precision, but n is capped at MAX_N (see there).
 
 forward_convert reads its masks and widths from the set, which derives
 them once (see ModuliSet), and builds the vector it returns in place,
@@ -40,13 +40,19 @@ if TYPE_CHECKING:
     from rns3.channels import ChannelId
 
 
+# The largest n a set accepts, checked before any shift: a set of this
+# size builds in about 0.1 s (its coprimality gcds grow as n^2), and an n
+# near 10^9 would allocate gigabytes, or 2^70 overflow, unchecked.
+MAX_N = 1 << 16
+
+
 def _derived():
     return field(init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class ModuliSet:
-    """The moduli set of size n >= 1: n is its only field.
+    """The moduli set of size 1 <= n <= MAX_N: n is its only field.
 
     ModuliSet(n) checks n and the set's invariants and derives the rest
     once: the moduli, M and the weights of the module docstring, and the
@@ -96,6 +102,9 @@ class ModuliSet:
             raise ParameterError(f"set parameter n must be an int, got {_shown(n)}")
         if n < 1:
             raise ParameterError(f"set parameter n must be >= 1, got {_shown(n)}")
+        if n > MAX_N:
+            raise ParameterError(
+                f"set parameter n must be <= {MAX_N}, got {_shown(n)}")
         m1, m2, m3 = 1 << n, (1 << 2 * n) - 1, (1 << 2 * n) + 1
         mhat1 = (1 << 4 * n) - 1  # = m2 * m3; every M // m_i is a shift
         for name, value in dict(
@@ -179,7 +188,7 @@ def _check_origin(ms: ModuliSet, rv) -> None:
 
 
 def make_moduli_set(n: int) -> ModuliSet:
-    """The validated moduli set for size parameter n >= 1.
+    """The validated moduli set for size parameter 1 <= n <= MAX_N.
 
     Sets are frozen and shared, one per n: the sets of the 16 sizes used
     last are kept, so a repeated call returns the same object, built and

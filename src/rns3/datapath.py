@@ -1,0 +1,197 @@
+"""The staged reference datapath of rns3.converter, loaded on first use.
+
+rns3.converter forwards these names and imports this module on the first
+read of one, so a process that only encodes and decodes never compiles
+it; decode --trace, verify's lemma check and the gate census load it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import NamedTuple
+
+from rns3.core import ModuliSet, ResidueVector, validate_residues
+from rns3.errors import ParameterError, _shown
+
+
+@dataclass(frozen=True)
+class BitWord:
+    """Fixed-width unsigned word; bit j of value weighs 2^j."""
+
+    value: int
+    width: int
+
+    def __post_init__(self):
+        if type(self.value) is not int or type(self.width) is not int:
+            raise ParameterError(
+                f"value {_shown(self.value)} and width {_shown(self.width)} "
+                "must be ints")
+        if self.width < 0:
+            raise ParameterError("width must be >= 0")
+        if not 0 <= self.value < (1 << self.width):
+            raise ParameterError(
+                f"value {_shown(self.value)} does not fit in "
+                f"{_shown(self.width)} bits")
+
+    @classmethod
+    def concat(cls, segments: list[BitWord]) -> BitWord:
+        """Join segments MSB-first; zero-width segments are allowed."""
+        value = 0
+        width = 0
+        for seg in segments:
+            if not isinstance(seg, BitWord):
+                raise ParameterError(f"expected a BitWord, got {_shown(seg)}")
+            value = (value << seg.width) | seg.value
+            width += seg.width
+        return cls(value, width)
+
+    @classmethod
+    def ones(cls, width: int) -> BitWord:
+        if type(width) is not int or width < 0:
+            raise ParameterError(f"width must be an int >= 0, got {_shown(width)}")
+        return cls((1 << width) - 1, width)
+
+    @classmethod
+    def zeros(cls, width: int) -> BitWord:
+        return cls(0, width)
+
+    def complement(self) -> BitWord:
+        return BitWord(self.value ^ ((1 << self.width) - 1), self.width)
+
+    def to_binary(self) -> str:
+        """MSB-first bit string, exactly width characters."""
+        return format(self.value, f"0{self.width}b") if self.width else ""
+
+
+def bit_slice(x: int, hi: int, lo: int) -> BitWord:
+    """Bits hi..lo of x as a word; hi < lo yields a zero-width word."""
+    if hi < lo:
+        return BitWord(0, 0)
+    width = hi - lo + 1
+    return BitWord((x >> lo) & ((1 << width) - 1), width)
+
+
+def r1_summand(n: int, r1: int) -> BitWord:
+    """Complemented r1 over an all-ones tail: -2^(3n)*r1 mod 2^(4n)-1."""
+    return BitWord.concat([
+        bit_slice(r1, n - 1, 0).complement(),
+        BitWord.ones(3 * n),
+    ])
+
+
+def r2_summand(n: int, r2: int) -> BitWord:
+    """Both rotations of r2 in one word: (2^(3n-1) + 2^(n-1)) * r2.
+
+    The two rotated copies occupy disjoint bit positions, so their sum is
+    plain concatenation and costs no adder.
+    """
+    return BitWord.concat([
+        bit_slice(r2, n, 0),
+        bit_slice(r2, 2 * n - 1, 0),
+        bit_slice(r2, 2 * n - 1, n + 1),
+    ])
+
+
+def r3_rot_summand(n: int, r3: int) -> BitWord:
+    """r3 rotated left by 3n-1: +2^(3n-1)*r3 mod 2^(4n)-1."""
+    return BitWord.concat([
+        bit_slice(r3, n, 0),
+        BitWord.zeros(2 * n - 1),
+        bit_slice(r3, 2 * n, n + 1),
+    ])
+
+
+def r3_comp_summand(n: int, r3: int) -> BitWord:
+    """Complemented, rotated r3 between ones fillers: -2^(n-1)*r3."""
+    return BitWord.concat([
+        BitWord.ones(n),
+        bit_slice(r3, 2 * n, 0).complement(),
+        BitWord.ones(n - 1),
+    ])
+
+
+def merged_summand(n: int, r1: int, r3: int) -> BitWord:
+    """r1_summand and r3_comp_summand folded into a single word.
+
+    The ones tail of the first summand and the ones fillers of the second
+    are swapped so that all the ones collect in one word (congruent to
+    zero) and the residue bits collect here.
+    """
+    return BitWord.concat([
+        bit_slice(r1, n - 1, 0).complement(),
+        bit_slice(r3, 2 * n, 0).complement(),
+        BitWord.ones(n - 1),
+    ])
+
+
+@dataclass(frozen=True)
+class OperandSet:
+    """The three 4n-bit summands fed to the carry-save stage."""
+
+    s1_prime: BitWord
+    s2: BitWord
+    s31: BitWord
+
+    @property
+    def width(self) -> int:
+        return self.s1_prime.width
+
+
+def prepare_operands(ms: ModuliSet, rv: ResidueVector) -> OperandSet:
+    """Assemble the three summands; the fourth collapses to all-ones == 0."""
+    validate_residues(ms, rv)
+    n = ms.n
+    return OperandSet(merged_summand(n, rv.r1, rv.r3), r2_summand(n, rv.r2),
+                      r3_rot_summand(n, rv.r3))
+
+
+def csa_eac(a: BitWord, b: BitWord, c: BitWord) -> tuple[BitWord, BitWord]:
+    """One carry-save level with the MSB carry wrapped around to bit 0.
+
+    Returns (sum, carry) with a + b + c == sum + carry (mod 2^width - 1).
+    """
+    if not all(isinstance(w, BitWord) for w in (a, b, c)):
+        raise ParameterError("csa_eac operands must be BitWords")
+    if not a.width == b.width == c.width:
+        raise ParameterError("csa_eac operands must share one width")
+    w, mask = a.width, (1 << a.width) - 1
+    a, b, c = a.value, b.value, c.value
+    carry = ((a & b) | (a & c) | (b & c)) << 1  # its MSB wraps to bit 0
+    return BitWord(a ^ b ^ c, w), BitWord((carry & mask) | (carry >> w), w)
+
+
+def mod_add_end_around(a: BitWord, b: BitWord) -> int:
+    """(a + b) mod 2^width - 1, canonical: the all-ones pattern becomes 0."""
+    if not (isinstance(a, BitWord) and isinstance(b, BitWord)):
+        raise ParameterError("mod_add_end_around operands must be BitWords")
+    if a.width != b.width:
+        raise ParameterError("mod_add_end_around operands must share one width")
+    w, mask = a.width, (1 << a.width) - 1
+    t = a.value + b.value
+    t = (t & mask) + (t >> w)  # one end-around carry; t was < 2^(w+1)
+    return 0 if t == mask else t
+
+
+class DecodeTrace(NamedTuple):
+    """Every named intermediate of one reverse conversion."""
+
+    s1_prime: BitWord
+    s2: BitWord
+    s31: BitWord
+    sum: BitWord    # CSA-EAC sum word
+    carry: BitWord  # CSA-EAC carry word, already rotated
+    y: BitWord      # floor(X / 2^n), the end-around sum
+    x: BitWord      # Y concatenated with r1
+
+
+def decode_trace(ms: ModuliSet, rv: ResidueVector) -> DecodeTrace:
+    """reverse_convert stage by stage, with its intermediates kept as words.
+
+    It runs prepare_operands, csa_eac and mod_add_end_around in turn, so
+    it is the staged reference of reverse_convert's fused kernel.
+    """
+    ops = prepare_operands(ms, rv)
+    s, carry = csa_eac(ops.s1_prime, ops.s2, ops.s31)
+    y = BitWord(mod_add_end_around(s, carry), ops.width)
+    return DecodeTrace(ops.s1_prime, ops.s2, ops.s31, s, carry, y,
+                       x=BitWord(y.value << ms.n | rv.r1, 5 * ms.n))

@@ -1,4 +1,5 @@
-"""Mutation check of the fused kernels and the checks around them.
+"""Mutation check of the fused kernels, the staged reference datapath and
+the checks around them.
 
 Each row of MUTANTS names a source file, a piece of text that occurs in
 it exactly once, a replacement and what the mutant breaks.  For each row
@@ -111,6 +112,21 @@ MUTANTS = [
     ("reverse_convert S2 wiring", "src/rns3/converter.py",
      "| (r2 << sn_m1) |", "| (r2 << sn_m1 + 1) |",
      "the middle copy of r2 is wired one bit too high"),
+    ("csa_eac carry wrap", "src/rns3/datapath.py",
+     "BitWord((carry & mask) | (carry >> w), w)", "BitWord(carry & mask, w)",
+     "the staged CSA drops the carry out of the MSB"),
+    ("mod_add_end_around all-ones -> 0", "src/rns3/datapath.py",
+     "return 0 if t == mask else t", "return t",
+     "the staged adder returns Y = 2^(4n) - 1 for Y = 0"),
+    ("merged_summand segment order", "src/rns3/datapath.py",
+     "bit_slice(r1, n - 1, 0).complement(),\n"
+     "        bit_slice(r3, 2 * n, 0).complement(),",
+     "bit_slice(r3, 2 * n, 0).complement(),\n"
+     "        bit_slice(r1, n - 1, 0).complement(),",
+     "S1' carries the complemented r1 and r3 in each other's bits"),
+    ("ModuliSet n ceiling", "src/rns3/core.py",
+     "if n > MAX_N:", "if False:",
+     "n = 2^70 raises OverflowError from a shift, not ParameterError"),
     ("crt_reconstruct second -M", "src/rns3/core.py",
      "        x -= M\n        if x >= M:\n            x -= M\n",
      "        x -= M\n",

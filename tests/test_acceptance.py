@@ -231,7 +231,8 @@ def test_criterion_9_csv_byte_stability():
 # fresh interpreters.
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-SUBMODULES = ("errors", "channels", "core", "converter", "costs", "cli")
+SUBMODULES = ("errors", "channels", "core", "converter", "datapath", "costs",
+              "cli")
 
 
 def fresh_python(code):
@@ -262,6 +263,42 @@ def test_import_rns3_loads_no_submodule():
 def test_codec_import_leaves_channels_and_costs_unloaded():
     assert loaded_after("from rns3 import converter, core") == \
         ["rns3", "rns3.converter", "rns3.core", "rns3.errors"]
+
+
+def test_converter_loads_the_staged_path_on_first_read():
+    fresh_python(
+        "import sys\n"
+        "from rns3.converter import reverse_convert\n"
+        "from rns3 import converter\n"
+        "try:\n"
+        "    converter.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('converter.no_such_name resolved')\n"
+        "assert 'rns3.datapath' not in sys.modules\n"
+        "assert 'decode_trace' not in vars(converter)\n"
+        "f = converter.decode_trace\n"
+        "assert vars(converter)['decode_trace'] is f\n"
+        "assert f is sys.modules['rns3.datapath'].decode_trace")
+
+
+@pytest.mark.parametrize("argv, staged", [
+    (["encode", "--n", "16", "12345"], False),
+    (["decode", "--n", "2", "0", "10", "15"], False),
+    (["decode", "--n", "2", "--trace", "0", "10", "15"], True),
+])
+def test_cli_codec_commands_leave_costs_unloaded(argv, staged):
+    # Only decode --trace loads the staged datapath; no codec command
+    # loads the cost model.
+    loaded = fresh_python(
+        "import sys\n"
+        "from rns3.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'rns3'))"
+    ).splitlines()[-1].split()
+    assert "rns3.costs" not in loaded
+    assert ("rns3.datapath" in loaded) is staged
 
 
 @pytest.mark.parametrize("module", SUBMODULES)

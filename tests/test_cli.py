@@ -432,6 +432,15 @@ def test_verify_memory_does_not_grow_with_failures(capsys, monkeypatch):
     assert big < small + 100_000
 
 
+def test_n_above_the_ceiling_exits_2(capsys):
+    for argv in (("encode", "--n", "0x400000000000000000", "1"),
+                 ("decode", "--n", "65537", "0", "0", "0"),
+                 ("verify", "--n", "65537", "--random", "--samples", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("set parameter n must be <= 65536, got ")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "bench", "--n", "0")[0] == 2
     assert run(capsys, "encode", "--n", "2", "-5")[0] == 2

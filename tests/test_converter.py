@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rns3 import converter
+from rns3 import converter, datapath
 from rns3.converter import (
     BitWord,
     bit_slice,
@@ -281,10 +281,10 @@ def test_decode_trace_worked_example():
 def test_decode_trace_runs_each_public_stage_once(monkeypatch):
     calls = []
     for name in ("prepare_operands", "csa_eac", "mod_add_end_around"):
-        def spy(*args, real=getattr(converter, name), name=name):
+        def spy(*args, real=getattr(datapath, name), name=name):
             calls.append(name)
             return real(*args)
-        monkeypatch.setattr(converter, name, spy)
+        monkeypatch.setattr(datapath, name, spy)
     ms = make_moduli_set(3)
     assert decode_trace(ms, forward_convert(ms, 1234)).x == BitWord(1234, 15)
     assert calls == ["prepare_operands", "csa_eac", "mod_add_end_around"]
@@ -375,3 +375,11 @@ def test_reverse_convert_matches_crt_reconstruct_property(case):
 def test_decode_trace_matches_reverse_convert_property(case):
     ms, rv = case
     assert decode_trace(ms, rv).x.value == reverse_convert(ms, rv)
+
+
+def test_converter_forwards_every_name_the_staged_path_defines():
+    defined = {name for name, value in vars(datapath).items()
+               if getattr(value, "__module__", None) == datapath.__name__}
+    assert converter._DATAPATH == defined
+    assert all(getattr(converter, name) is getattr(datapath, name)
+               for name in defined)

@@ -66,6 +66,14 @@ def test_make_moduli_set_rejects_non_int():
             make_moduli_set(n)
 
 
+def test_make_moduli_set_refuses_n_above_the_ceiling():
+    # Checked before any shift: 2^70 would overflow, 10^9 take gigabytes.
+    assert make_moduli_set(core.MAX_N).n == core.MAX_N
+    for n in (core.MAX_N + 1, 2 ** 70):
+        with pytest.raises(ParameterError, match="must be <= 65536"):
+            make_moduli_set(n)
+
+
 def test_make_moduli_set_shares_one_set_per_n():
     ms = make_moduli_set(4096)
     assert make_moduli_set(4096) is ms
@@ -160,7 +168,9 @@ def test_a_set_is_its_n():
 
 @pytest.mark.parametrize("n, message", [
     (0, "must be >= 1"), (-3, "must be >= 1"), (True, "must be an int"),
-    (2.0, "must be an int"), ("2", "must be an int")])
+    (2.0, "must be an int"), ("2", "must be an int"),
+    (core.MAX_N + 1, "must be <= 65536, got 65537$"),
+    (2 ** 70, "must be <= 65536, got 1180591620717411303424$")])
 def test_moduli_set_checks_n(n, message):
     with pytest.raises(ParameterError, match=message):
         core.ModuliSet(n)
