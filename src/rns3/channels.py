@@ -19,7 +19,7 @@ rns_op reads its masks and the width 2n from the set, which derives them
 once (see core.ModuliSet).  It trusts operands stamped with its set (see
 core.ResidueVector); others pass _check_origin, then channel_op's
 operand-then-op check per channel.  It builds its result in place,
-stamped with the set.
+stamped with the set, by four slot stores (see core.ResidueVector).
 
 channel_op and reduce_mod are the plain references, for one channel of
 any width: they check their arguments, then reduce with Python's %.
@@ -37,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from rns3.core import ModuliSet, ResidueVector, _check_origin, _new
+from rns3.core import (ModuliSet, ResidueVector, _check_origin, _new, _put_r1,
+                       _put_r2, _put_r3, _put_set)
 from rns3.errors import ParameterError, ResidueError, _shown
 
 CHANNEL_OPS = ("add", "sub", "mul")
@@ -147,11 +148,10 @@ def rns_op(ms: ModuliSet, op: str, a: ResidueVector, b: ResidueVector) -> Residu
         raise ParameterError(f"unknown channel op {_shown(op)}")
     t2 = (t2 & m2) + (t2 >> w)
     rv = _new(ResidueVector)  # stamped in place: see core.ResidueVector
-    d = rv.__dict__
-    d["r1"] = t1 & ms.pow2_mask
-    d["r2"] = 0 if t2 == m2 else t2
-    d["r3"] = t3 + m3 if t3 < 0 else t3
-    d["_set"] = ms
+    _put_r1(rv, t1 & ms.pow2_mask)
+    _put_r2(rv, 0 if t2 == m2 else t2)
+    _put_r3(rv, t3 + m3 if t3 < 0 else t3)
+    _put_set(rv, ms)
     return rv
 
 

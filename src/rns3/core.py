@@ -22,7 +22,8 @@ arbitrary precision, but n is capped at MAX_N (see there).
 
 forward_convert reads its masks and widths from the set, which derives
 them once (see ModuliSet), and builds the vector it returns in place,
-stamped with the set.  A vector is trusted by its set stamp alone (see
+stamped with the set: object.__new__, then one store into each of the
+vector's four slots.  A vector is trusted by its set stamp alone (see
 ResidueVector); any other vector passes _check_origin, then a check of
 each residue in turn.
 """
@@ -147,30 +148,50 @@ class ResidueVector:
     A vector that forward_convert or rns_op returns carries a private
     stamp: the ModuliSet its residues were made canonical for.  Those two
     kernels are the only places that stamp a vector; each builds its
-    result in place, object.__new__ then four stores into the instance
-    __dict__ (r1, r2, r3, _set), with no __init__ frame.  The entry
-    points trust a vector stamped with the set they are given, and reject
-    one stamped with a set of another n; any other vector is checked in
-    full.  The stamp is not a field, so fields(), repr, ==, hash and
-    dataclasses.replace ignore it, and replace(), copies and pickles
-    return unstamped vectors.
+    result in place, object.__new__ then four slot stores (r1, r2, r3,
+    _set, through the _put_* setters below), with no __init__ frame.  The
+    entry points trust a vector stamped with the set they are given, and
+    reject one stamped with a set of another n; any other vector is
+    checked in full.  The stamp is not a field, so fields(), repr, ==,
+    hash and dataclasses.replace ignore it; a vector built by hand, and
+    every replace(), copy and unpickled vector, holds _UNSTAMPED.
+
+    The four values live in slots, with no instance __dict__, so field
+    reads are plain slot reads: vars(rv) raises TypeError, and a vector
+    cannot be weakly referenced.
     """
+
+    __slots__ = ("r1", "r2", "r3", "_set")
 
     r1: int
     r2: int
     r3: int
-    _set = _UNSTAMPED  # the stamp of a vector built by hand; not a field
+
+    def __post_init__(self):
+        _put_set(self, _UNSTAMPED)  # built by hand: not a field
 
     def __getstate__(self):
         # The fields without the stamp, so that pickles and copies are
         # the same as those of a vector built by hand.
         return {"r1": self.r1, "r2": self.r2, "r3": self.r3}
 
+    def __setstate__(self, state):
+        _put_r1(self, state["r1"])
+        _put_r2(self, state["r2"])
+        _put_r3(self, state["r3"])
+        _put_set(self, _UNSTAMPED)
+
     def astuple(self) -> tuple[int, int, int]:
         return (self.r1, self.r2, self.r3)
 
 
+# The kernels' builder: object.__new__, then each slot's own setter,
+# which a frozen vector's __setattr__ would refuse.
 _new = object.__new__
+_put_r1 = ResidueVector.r1.__set__
+_put_r2 = ResidueVector.r2.__set__
+_put_r3 = ResidueVector.r3.__set__
+_put_set = ResidueVector._set.__set__
 
 
 def _check_origin(ms: ModuliSet, rv) -> None:
@@ -264,11 +285,10 @@ def forward_convert(ms: ModuliSet, x: int) -> ResidueVector:
     elif r3 >= m3:
         r3 -= m3
     rv = _new(ResidueVector)  # stamped in place: see ResidueVector
-    d = rv.__dict__
-    d["r1"] = x & ms.pow2_mask
-    d["r2"] = 0 if r2 == m2 else r2
-    d["r3"] = r3
-    d["_set"] = ms
+    _put_r1(rv, x & ms.pow2_mask)
+    _put_r2(rv, 0 if r2 == m2 else r2)
+    _put_r3(rv, r3)
+    _put_set(rv, ms)
     return rv
 
 

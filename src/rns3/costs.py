@@ -36,6 +36,13 @@ from enum import Enum
 from rns3 import converter
 from rns3.errors import ParameterError, _shown
 
+# The largest size a design or a channel takes, checked before any shift.
+# The model builds 4n-bit summand words but no moduli set, so it goes past
+# core.MAX_N: the OURS bill at this size counts in about 20 ms, and the
+# classic set's m matched to every n <= core.MAX_N lies below it.  An n
+# near 10^9 would build words of gigabytes, or 2^70 overflow, unchecked.
+MAX_SIZE = 1 << 20
+
 
 def ceil_log2(x: int) -> int:
     """Smallest e with 2^e >= x, for x >= 1."""
@@ -79,7 +86,8 @@ class Design(Enum):
 
 @dataclass(frozen=True)
 class ConverterDesign:
-    """A design tag plus its size parameter (n, or m for REF11)."""
+    """A design tag plus its size parameter (n, or m for REF11), at most
+    MAX_SIZE."""
 
     tag: Design
     size: int
@@ -93,6 +101,9 @@ class ConverterDesign:
         if self.size < 1:
             raise ParameterError(
                 f"design size must be >= 1, got {_shown(self.size)}")
+        if self.size > MAX_SIZE:
+            raise ParameterError(
+                f"design size must be <= {MAX_SIZE}, got {_shown(self.size)}")
 
 
 @dataclass(frozen=True)
@@ -228,6 +239,8 @@ def channel_adder_delay(kind: ChannelAdder, n: int) -> int:
         raise ParameterError(f"n must be an int, got {_shown(n)}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {_shown(n)}")
+    if n > MAX_SIZE:
+        raise ParameterError(f"n must be <= {MAX_SIZE}, got {_shown(n)}")
     if kind is ChannelAdder.MOD_2POW2N_PLUS1:
         return 2 * ceil_log2(2 * n) + 6
     return 4 * ceil_log2(n) + 7

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rns3 import channels, cli, converter, core
+from rns3 import channels, cli, converter, core, costs
 from rns3.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "table4.csv"
@@ -439,6 +439,19 @@ def test_n_above_the_ceiling_exits_2(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("set parameter n must be <= 65536, got ")
+
+
+@pytest.mark.parametrize("table, head", [("1", "design size"),
+                                         ("2", "design size"), ("3", "n")])
+def test_costs_size_above_the_ceiling_exits_2(capsys, table, head):
+    top = costs.MAX_SIZE
+    for n in (top + 1, 0x400000000000000000):
+        code, out, err = run(capsys, "costs", "--table", table, "--n", hex(n))
+        assert code == 2 and out == ""
+        assert err == f"{head} must be <= {top}, got {n}\n"
+    # The largest set's n still prints, beside the classic set's matched m.
+    code, out, _ = run(capsys, "costs", "--table", table, "--n", str(core.MAX_N))
+    assert code == 0 and f"  {core.MAX_N}  " in out
 
 
 def test_usage_errors_exit_2(capsys):

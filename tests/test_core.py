@@ -361,7 +361,41 @@ def test_stamped_vector_pickles_as_its_hand_built_twin():
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.dumps(rv, protocol) == pickle.dumps(twin, protocol)
         for other in (copy.copy(rv), copy.deepcopy(rv), pickle.loads(pickle.dumps(rv))):
-            assert other == rv and vars(other) == vars(twin)
+            assert other == rv and other.astuple() == twin.astuple()
+            assert other._set is twin._set is core._UNSTAMPED
+
+
+# pickle.dumps(ResidueVector(1, 2, 3), protocol) as written while vectors
+# kept their fields in an instance __dict__, for protocols 0, 2 and 5.
+DICT_ERA_PICKLES = {
+    0: b"ccopy_reg\n_reconstructor\np0\n(crns3.core\nResidueVector\np1\n"
+       b"c__builtin__\nobject\np2\nNtp3\nRp4\n(dp5\nVr1\np6\nI1\nsVr2\n"
+       b"p7\nI2\nsVr3\np8\nI3\nsb.",
+    2: b"\x80\x02crns3.core\nResidueVector\nq\x00)\x81q\x01}q\x02(X\x02\x00"
+       b"\x00\x00r1q\x03K\x01X\x02\x00\x00\x00r2q\x04K\x02X\x02\x00\x00\x00"
+       b"r3q\x05K\x03ub.",
+    5: b"\x80\x05\x95<\x00\x00\x00\x00\x00\x00\x00\x8c\trns3.core\x94\x8c"
+       b"\rResidueVector\x94\x93\x94)\x81\x94}\x94(\x8c\x02r1\x94K\x01\x8c"
+       b"\x02r2\x94K\x02\x8c\x02r3\x94K\x03ub.",
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(DICT_ERA_PICKLES))
+def test_vectors_pickled_with_an_instance_dict_still_load(protocol, monkeypatch):
+    data = DICT_ERA_PICKLES[protocol]
+    rv = pickle.loads(data)
+    assert type(rv) is ResidueVector and rv == ResidueVector(1, 2, 3)
+    assert rv._set is core._UNSTAMPED
+    assert pickle.dumps(rv, protocol) == data  # and written the same today
+    # Unstamped, so crt_reconstruct checks it in full before decoding it:
+    # X = 23 is 1, 2 and 3 modulo the moduli 2, 3 and 5 of n = 1.
+    ms = make_moduli_set(1)
+    checked = []
+    real = core.validate_residues
+    monkeypatch.setattr(core, "validate_residues",
+                        lambda *args: checked.append(args) or real(*args))
+    assert crt_reconstruct(ms, rv) == 23
+    assert checked == [(ms, rv)]
 
 
 # Each entry point, with rv as its (first) vector operand.

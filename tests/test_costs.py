@@ -213,6 +213,21 @@ def test_channel_adder_delay():
         channel_adder_delay(ChannelAdder.MOD_HIASAT, 0)
 
 
+def test_sizes_above_the_ceiling_are_refused():
+    top = costs.MAX_SIZE
+    assert top > matched_three_channel_size(core.MAX_N) > core.MAX_N
+    for tag in Design:
+        assert ConverterDesign(tag, top).size == top
+    assert channel_adder_delay(ChannelAdder.MOD_HIASAT, top) == 4 * 20 + 7
+    for n in (top + 1, 2 ** 70):
+        for tag in Design:
+            with pytest.raises(ParameterError, match=f"^design size must be <= {top}, "):
+                ConverterDesign(tag, n)
+        for kind in ChannelAdder:
+            with pytest.raises(ParameterError, match=f"^n must be <= {top}, "):
+                channel_adder_delay(kind, n)
+
+
 @pytest.mark.parametrize(
     "kind", ["mod_2pow2n_plus1", "mod_hiasat", None, Design.OURS])
 def test_channel_adder_kind_must_be_a_channel_adder(kind):
