@@ -34,11 +34,11 @@ does not call them; it builds both into the wiring of its summands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from rns3.core import (ModuliSet, ResidueVector, _check_origin, _new, _put_r1,
-                       _put_r2, _put_r3, _put_set)
+from rns3.core import (MAX_WIDTH, ModuliSet, ResidueVector, _check_origin, _new,
+                       _put_r1, _put_r2, _put_r3, _put_set)
 from rns3.errors import ParameterError, ResidueError, _shown
 
 CHANNEL_OPS = ("add", "sub", "mul")
@@ -56,7 +56,6 @@ class ChannelId:
 
     kind: ChannelKind
     k: int
-    modulus: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.kind, ChannelKind):
@@ -64,9 +63,9 @@ class ChannelId:
                 f"channel kind {_shown(self.kind)} is not a ChannelKind")
         if type(self.k) is not int:
             raise ParameterError(f"channel width {_shown(self.k)} is not an int")
-        if self.k < 1:
+        if not 1 <= self.k <= MAX_WIDTH:
             raise ParameterError(
-                f"channel width must be >= 1, got {_shown(self.k)}")
+                f"channel width must be in [1, {MAX_WIDTH}], got {_shown(self.k)}")
         modulus = 1 << self.k
         if self.kind is ChannelKind.POW2_MINUS1:
             modulus -= 1
@@ -162,9 +161,9 @@ def rotl_mod_pow2_minus1(v: int, k: int, p: int) -> int:
     involved, which is why the converter can absorb all coefficient
     multiplications into wiring.
     """
-    if type(k) is not int or k < 1 or type(p) is not int:
-        raise ParameterError(f"need an int width >= 1 and an int shift count, "
-                             f"got {_shown(k)} and {_shown(p)}")
+    if type(k) is not int or not 1 <= k <= MAX_WIDTH or type(p) is not int:
+        raise ParameterError(f"need an int width in [1, {MAX_WIDTH}] and an int "
+                             f"shift count, got {_shown(k)} and {_shown(p)}")
     mask = (1 << k) - 1
     _check_operand(v, mask, "value")
     if p < 0:
@@ -175,8 +174,9 @@ def rotl_mod_pow2_minus1(v: int, k: int, p: int) -> int:
 
 def neg_mod_pow2_minus1(v: int, k: int) -> int:
     """-v mod (2^k - 1) via one's complement; all-ones canonicalizes to 0."""
-    if type(k) is not int or k < 1:
-        raise ParameterError(f"need an int width >= 1, got {_shown(k)}")
+    if type(k) is not int or not 1 <= k <= MAX_WIDTH:
+        raise ParameterError(
+            f"need an int width in [1, {MAX_WIDTH}], got {_shown(k)}")
     mask = (1 << k) - 1
     _check_operand(v, mask, "value")
     c = v ^ mask

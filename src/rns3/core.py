@@ -8,7 +8,7 @@ M = 2^n * (2^(4n) - 1), and the reconstruction weights have closed forms:
     mhat3 = 2^n * (2^(2n) - 1)   inv3 = 2^(n-1)
 
 n fixes all of these, so a set is its n: ModuliSet(n) derives every
-other field and compares, hashes and prints by n alone.
+other value and compares, hashes and prints by n alone.
 
 forward_convert splits an integer X < 2^(5n) into three 2n-bit chunks
 lo, mid and hi; since 2^(2n) is 1 modulo 2^(2n)-1 and -1 modulo
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from rns3.errors import OutOfRangeError, ParameterError, ResidueError, _shown
@@ -46,9 +46,11 @@ if TYPE_CHECKING:
 # near 10^9 would allocate gigabytes, or 2^70 overflow, unchecked.
 MAX_N = 1 << 16
 
-
-def _derived():
-    return field(init=False, compare=False, repr=False)
+# The widest word, or channel, that BitWord, ChannelId and the 2^k - 1 bit
+# tricks accept, checked before any shift.  It admits every word the
+# library builds: the cost model's 4n-bit summands up to n = 2^20
+# (costs.MAX_SIZE) and decode_trace's 5n-bit X up to n = MAX_N.
+MAX_WIDTH = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,10 @@ class ModuliSet:
     """The moduli set of size 1 <= n <= MAX_N: n is its only field.
 
     ModuliSet(n) checks n and the set's invariants and derives the rest
-    once: the moduli, M and the weights of the module docstring, and the
-    masks and shift amounts that rns_op, forward_convert and
-    reverse_convert read, so that they compute none per call:
+    once, as plain attributes, not fields: the moduli, M and the weights
+    of the module docstring, and the masks and shift amounts that rns_op,
+    forward_convert and reverse_convert read, so that they compute none
+    per call:
 
         pow2_mask    2^n - 1        the 2^n channel: r1, and X's low bits
         chan_bits    2n             the width of the 2^(2n) +- 1 channels
@@ -71,31 +74,12 @@ class ModuliSet:
         shift_n_p1   n + 1          and the bits above n wrapped to bit 0
 
     So a set is its n: ==, hash and repr read n alone, replace(ms, n=k)
-    is the set of k, and replace() refuses a derived field; a pickle
-    carries them.  channels() builds the channel ids on call.  Sets are
-    frozen, and make_moduli_set shares one per n.
+    is the set of k, and replace() refuses a derived name with TypeError;
+    a pickle carries the derived values.  channels() builds the channel
+    ids on call.  Sets are frozen, and make_moduli_set shares one per n.
     """
 
     n: int
-    m1: int = _derived()
-    m2: int = _derived()
-    m3: int = _derived()
-    M: int = _derived()
-    mhat1: int = _derived()
-    mhat2: int = _derived()
-    mhat3: int = _derived()
-    inv1: int = _derived()
-    inv2: int = _derived()
-    inv3: int = _derived()
-    pow2_mask: int = _derived()
-    chan_bits: int = _derived()
-    word_mask: int = _derived()
-    word_bits: int = _derived()
-    low_mask: int = _derived()
-    shift_3n: int = _derived()
-    shift_3n_m1: int = _derived()
-    shift_n_m1: int = _derived()
-    shift_n_p1: int = _derived()
 
     def __post_init__(self):
         n = self.n

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from rns3.core import ModuliSet, ResidueVector, validate_residues
+from rns3.core import MAX_WIDTH, ModuliSet, ResidueVector, validate_residues
 from rns3.errors import ParameterError, _shown
 
 
@@ -26,8 +26,9 @@ class BitWord:
             raise ParameterError(
                 f"value {_shown(self.value)} and width {_shown(self.width)} "
                 "must be ints")
-        if self.width < 0:
-            raise ParameterError("width must be >= 0")
+        if not 0 <= self.width <= MAX_WIDTH:
+            raise ParameterError(
+                f"width must be in [0, {MAX_WIDTH}], got {_shown(self.width)}")
         if not 0 <= self.value < (1 << self.width):
             raise ParameterError(
                 f"value {_shown(self.value)} does not fit in "
@@ -47,8 +48,9 @@ class BitWord:
 
     @classmethod
     def ones(cls, width: int) -> BitWord:
-        if type(width) is not int or width < 0:
-            raise ParameterError(f"width must be an int >= 0, got {_shown(width)}")
+        if type(width) is not int or not 0 <= width <= MAX_WIDTH:
+            raise ParameterError(
+                f"width must be an int in [0, {MAX_WIDTH}], got {_shown(width)}")
         return cls((1 << width) - 1, width)
 
     @classmethod

@@ -136,6 +136,25 @@ MUTANTS = [
     ("ModuliSet n ceiling", "src/rns3/core.py",
      "if n > MAX_N:", "if False:",
      "n = 2^70 raises OverflowError from a shift, not ParameterError"),
+    ("BitWord width ceiling", "src/rns3/datapath.py",
+     "not 0 <= self.width <= MAX_WIDTH", "self.width < 0",
+     "BitWord(0, 2^70) raises OverflowError from a shift, not ParameterError"),
+    ("BitWord.ones width ceiling", "src/rns3/datapath.py",
+     "not 0 <= width <= MAX_WIDTH", "width < 0",
+     "BitWord.ones(2^70) raises OverflowError from a shift, "
+     "not ParameterError"),
+    ("ChannelId width ceiling", "src/rns3/channels.py",
+     "not 1 <= self.k <= MAX_WIDTH", "self.k < 1",
+     "ChannelId(kind, 2^70) raises OverflowError from a shift, "
+     "not ParameterError"),
+    ("rotl width ceiling", "src/rns3/channels.py",
+     "not 1 <= k <= MAX_WIDTH or type(p)", "k < 1 or type(p)",
+     "rotl_mod_pow2_minus1 at k = 2^70 raises OverflowError from a shift, "
+     "not ParameterError"),
+    ("neg width ceiling", "src/rns3/channels.py",
+     "not 1 <= k <= MAX_WIDTH:", "k < 1:",
+     "neg_mod_pow2_minus1 at k = 2^70 raises OverflowError from a shift, "
+     "not ParameterError"),
     ("cost model size ceiling", "src/rns3/costs.py",
      "if self.size > MAX_SIZE:", "if False:",
      "costs --table 1 at n = 2^70 raises OverflowError from a shift, "

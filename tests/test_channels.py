@@ -19,7 +19,7 @@ from rns3.channels import (
     rns_op,
     rotl_mod_pow2_minus1,
 )
-from rns3.core import ResidueVector, forward_convert, make_moduli_set
+from rns3.core import MAX_WIDTH, ResidueVector, forward_convert, make_moduli_set
 from rns3.errors import ParameterError, ResidueError
 
 POW2 = ChannelKind.POW2
@@ -408,3 +408,21 @@ def test_neg_rejects_noncanonical():
 def test_neg_rejects_non_int_or_bad_width(v, k, error):
     with pytest.raises(error):
         neg_mod_pow2_minus1(v, k)
+
+
+def test_widths_up_to_the_ceiling_are_admitted():
+    assert ChannelId(PLUS1, MAX_WIDTH).modulus == 2 ** MAX_WIDTH + 1
+    assert rotl_mod_pow2_minus1(1, MAX_WIDTH, MAX_WIDTH - 1) == 2 ** (MAX_WIDTH - 1)
+    assert neg_mod_pow2_minus1(0, MAX_WIDTH) == 0
+
+
+@pytest.mark.parametrize("k", [MAX_WIDTH + 1, 2 ** 70])
+def test_widths_above_the_ceiling_are_refused(k):
+    # Checked before any shift: 2^70 would overflow, 2^40 take 128 GiB.
+    bound = rf"in \[1, {MAX_WIDTH}\]"
+    with pytest.raises(ParameterError, match=f"{bound}, got {k}$"):
+        ChannelId(PLUS1, k)
+    with pytest.raises(ParameterError, match=f"{bound} .*, got {k} and 1$"):
+        rotl_mod_pow2_minus1(1, k, 1)
+    with pytest.raises(ParameterError, match=f"{bound}, got {k}$"):
+        neg_mod_pow2_minus1(1, k)

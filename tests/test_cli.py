@@ -74,6 +74,16 @@ def test_verify_exhaustive(capsys):
     assert "roundtrip: checked 1020, failed 0" in out
 
 
+def test_verify_random_draws_10000_samples_by_default(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "1", "--random")
+    assert code == 0
+    assert out.splitlines() == [
+        "roundtrip: checked 10000, failed 0",
+        "operand lemmas: checked 10000, failed 0",
+        "homomorphism: checked 10000, failed 0",
+        "checked 10000 values, 0 failures"]
+
+
 def test_verify_exhaustive_rejected_for_large_n(capsys):
     code, _, err = run(capsys, "verify", "--n", "5", "--exhaustive")
     assert code == 2

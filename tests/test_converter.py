@@ -23,6 +23,8 @@ from rns3.converter import (
     reverse_convert,
 )
 from rns3.core import (
+    MAX_N,
+    MAX_WIDTH,
     ResidueVector,
     crt_reconstruct,
     forward_convert,
@@ -45,6 +47,24 @@ def test_bitword_validation():
     for value, width in ((1.5, 2), (1, 2.0), (True, 1), (1, True)):
         with pytest.raises(ParameterError, match="must be ints$"):
             BitWord(value, width)
+
+
+@pytest.mark.parametrize("width", [MAX_WIDTH + 1, 2 ** 70])
+def test_bitword_widths_above_the_ceiling_are_refused(width):
+    # Checked before any shift: 2^70 would overflow, 2^40 take 128 GiB.
+    message = rf"in \[0, {MAX_WIDTH}\], got {width}$"
+    for build in (lambda: BitWord(0, width), lambda: BitWord.ones(width),
+                  lambda: BitWord.zeros(width)):
+        with pytest.raises(ParameterError, match=message):
+            build()
+
+
+def test_the_width_ceiling_admits_every_word_the_library_builds():
+    assert BitWord.ones(MAX_WIDTH).complement() == BitWord.zeros(MAX_WIDTH)
+    # decode_trace's widest word is the 5n-bit X of the largest set.
+    ms = make_moduli_set(MAX_N)
+    trace = decode_trace(ms, forward_convert(ms, ms.M - 1))
+    assert trace.x == BitWord(ms.M - 1, 5 * MAX_N)
 
 
 def test_bitword_concat():

@@ -92,6 +92,15 @@ def test_hw_bill_ours_counted_matches_closed_forms():
             (0, 0, 0, 0, 0) and not b.approximate
 
 
+def test_hw_bill_ours_counts_at_the_size_ceiling():
+    # The census builds 4n-bit words, which the width ceiling admits.
+    top = costs.MAX_SIZE
+    assert 4 * top == core.MAX_WIDTH
+    b = hw_bill(ConverterDesign(Design.OURS, top))
+    assert (b.inverters, b.full_adders, b.xor_and_pairs, b.xnor_or_pairs,
+            b.ma_width) == (3 * top + 1, top + 2, 2 * top - 1, top - 1, 4 * top)
+
+
 def _miswire_s31(monkeypatch, keep):
     """Replace converter.r3_rot_summand with one whose S31 keeps only the
     bits that keep(n) selects."""
