@@ -300,6 +300,10 @@ def cmd_costs(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.iters > sys.maxsize:  # itertools.islice takes no more
+        print(f"--iters must be <= {sys.maxsize}, got {_shown(args.iters)}",
+              file=sys.stderr)
+        return EXIT_USAGE
     ms = core.make_moduli_set(args.n)
     rng = Random(args.seed)
     xs = [rng.randrange(ms.M) for _ in range(min(args.iters, 4096))]

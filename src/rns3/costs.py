@@ -387,5 +387,6 @@ def render_channel_delay_table(n: int, format: str = "text") -> str:
     cells = [["modulus", "n", "delay"]]
     for kind, label in ((ChannelAdder.MOD_2POW2N_PLUS1, "2^(2n)+1"),
                         (ChannelAdder.MOD_HIASAT, "2^n+2^((n+1)/2)+1")):
-        cells.append([label, str(n), str(channel_adder_delay(kind, n))])
+        delay = channel_adder_delay(kind, n)  # checks n before str(n)
+        cells.append([label, str(n), str(delay)])
     return _render(cells, format)

@@ -159,6 +159,16 @@ MUTANTS = [
      "if self.size > MAX_SIZE:", "if False:",
      "costs --table 1 at n = 2^70 raises OverflowError from a shift, "
      "not ParameterError"),
+    ("channel delay table checks n first", "src/rns3/costs.py",
+     "delay = channel_adder_delay(kind, n)  # checks n before str(n)\n"
+     "        cells.append([label, str(n), str(delay)])",
+     "cells.append([label, str(n), str(channel_adder_delay(kind, n))])",
+     "costs --table 3 at a 5000-digit n raises ValueError from str(n), "
+     "not ParameterError"),
+    ("bench iters ceiling", "src/rns3/cli.py",
+     "if args.iters > sys.maxsize:", "if False:",
+     "bench --iters above sys.maxsize raises ValueError from islice, "
+     "not exit 2"),
     ("crt_reconstruct second -M", "src/rns3/core.py",
      "        x -= M\n        if x >= M:\n            x -= M\n",
      "        x -= M\n",

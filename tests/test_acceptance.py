@@ -346,6 +346,9 @@ def test_star_import_binds_exactly_all():
     exec("from rns3 import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == rns3.__all__
+    out = fresh_python("from rns3 import *\n"
+                       "print(forward_convert(make_moduli_set(16), 12345))")
+    assert out == "ResidueVector(r1=12345, r2=12345, r3=12345)\n"
 
 
 @pytest.mark.parametrize("name", ["no_such_name", "bit_slice", "Enum"])

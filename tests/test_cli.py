@@ -53,12 +53,9 @@ def test_decode(capsys):
 def test_decode_trace(capsys):
     code, out, _ = run(capsys, "decode", "--n", "2", "--trace", "0", "10", "15")
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "S1'=11100001"
-    assert lines[1] == "S2=01010101"
-    assert lines[2] == "S31=11100001"
-    assert lines[3] == "CSA sum=01010101 carry=11000011"
-    assert lines[-1] == "Y=25 X=100"
+    assert out.splitlines() == [
+        "S1'=11100001", "S2=01010101", "S31=11100001",
+        "CSA sum=01010101 carry=11000011", "Y=25 X=100"]
 
 
 def test_decode_residue_out_of_range(capsys):
@@ -248,15 +245,16 @@ def test_verify_lists_pair_failures(capsys, monkeypatch):
 
 
 def test_verify_under_python_O(capsys):
-    argv = ("verify", "--n", "2", "--exhaustive")
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "rns3", *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == run(capsys, *argv)[1]
+    for n in ("2", "3"):
+        argv = ("verify", "--n", n, "--exhaustive")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "rns3", *argv], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run(capsys, *argv)[1]
 
 
 def test_costs_table4_matches_golden(capsys):
@@ -320,7 +318,7 @@ def test_bench_minimal(capsys):
     code, out, _ = run(capsys, "bench", "--n", "1", "--iters", "1")
     assert code == 0
     assert len(out.splitlines()) == 6
-    code, out, _ = run(capsys, "bench", "--n", "16", "--iters", "100")
+    code, out, _ = run(capsys, "bench", "--n", "16", "--iters", "2000")
     assert code == 0
     assert out.startswith("forward_convert:")
 
@@ -344,22 +342,23 @@ def test_command_replaced_on_the_module_runs(capsys, monkeypatch):
 
 
 def test_bench_json_schema(capsys):
-    code, out, _ = run(capsys, "bench", "--n", "2", "--iters", "3",
-                       "--format", "json")
-    assert code == 0
-    record = json.loads(out)
-    assert set(record) == {"python", "platform", "nproc", "n", "iters",
-                           "repeats", "us_per_op"}
-    assert record["python"] == platform.python_version()
-    assert isinstance(record["platform"], str) and record["platform"]
-    assert type(record["nproc"]) is int and record["nproc"] >= 1
-    assert (record["n"], record["iters"]) == (2, 3)
-    assert record["repeats"] == cli.BENCH_REPEATS
-    assert list(record["us_per_op"]) == [
-        "forward_convert", "reverse_convert", "crt_reconstruct",
-        "rns_op add", "rns_op sub", "rns_op mul"]
-    assert all(type(us) is float and us >= 0
-               for us in record["us_per_op"].values())
+    for n, iters in ((2, 3), (4096, 200)):
+        code, out, _ = run(capsys, "bench", "--n", str(n), "--iters",
+                           str(iters), "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        assert set(record) == {"python", "platform", "nproc", "n", "iters",
+                               "repeats", "us_per_op"}
+        assert record["python"] == platform.python_version()
+        assert isinstance(record["platform"], str) and record["platform"]
+        assert type(record["nproc"]) is int and record["nproc"] >= 1
+        assert (record["n"], record["iters"]) == (n, iters)
+        assert record["repeats"] == cli.BENCH_REPEATS
+        assert list(record["us_per_op"]) == [
+            "forward_convert", "reverse_convert", "crt_reconstruct",
+            "rns_op add", "rns_op sub", "rns_op mul"]
+        assert all(type(us) is float and us >= 0
+                   for us in record["us_per_op"].values())
 
 
 def test_bench_memory_does_not_grow_with_iters(capsys, monkeypatch):
@@ -469,6 +468,11 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "encode", "--n", "2", "-5")[0] == 2
     assert run(capsys, "encode", "--n", "2", "zzz")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+    # Only a refused bench count is run: an accepted one this large would
+    # not return.
+    top = sys.maxsize
+    assert run(capsys, "bench", "--n", "1", "--iters", str(top + 1)) == (
+        2, "", f"--iters must be <= {top}, got {top + 1}\n")
 
 
 def test_help_exits_0(capsys):
@@ -517,7 +521,9 @@ def test_encode_beyond_int_str_digit_limit(capsys):
      "R3=<20000-bit int> out of range for modulus 17"),
     (("costs", "--table", "0x" + "f" * 5000),
      "unknown table id <20000-bit int> (expected 1-4)"),
-], ids=["decode", "costs"])
+    (("costs", "--table", "3", "--n", "0x" + "f" * 5000),
+     "n must be <= 1048576, got <20000-bit int>"),
+], ids=["decode", "costs", "costs-table-3"])
 def test_argument_beyond_int_str_digit_limit_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
