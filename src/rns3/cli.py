@@ -371,7 +371,3 @@ def main(argv=None) -> int:
     except RnsError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

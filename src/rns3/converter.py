@@ -6,32 +6,18 @@ only), one carry-save adder with end-around carry compresses them to a
 sum/carry pair, and a final modulo 2^(4n)-1 addition yields
 Y = floor(X / 2^n).  X is then the concatenation of Y with r1.
 
-Summand layouts, MSB first, segment widths in brackets:
-
-    s1_prime = ~r1[n]    | ~r3[2n+1]     | ones[n-1]
-    s2       = r2[n..0]  | r2[2n-1..0]   | r2[2n-1..n+1]
-    s31      = r3[n..0]  | zeros[2n-1]   | r3[2n..n+1]
-
-Their values modulo 2^(4n)-1 are the three coefficient products
--2^(3n)*r1 - 2^(n-1)*r3, (2^(3n-1)+2^(n-1))*r2 and 2^(3n-1)*r3: shifts
-are rotations in this modulus and negations are complements.  s1_prime
-folds the r1 word and the complemented-r3 word into one summand; the
-leftover filler is the all-ones word, which is congruent to zero, so a
-single carry-save level suffices for all three channels.
-
-The layout functions build each summand segment by segment from the
-size n alone; they are the one reference for this wiring.
 reverse_convert runs the datapath as one fused kernel on plain integers,
 reading its masks and shift amounts from the ModuliSet, which derives
 them once.  decode_trace runs it through the public stage functions
-(prepare_operands, which calls the layouts, csa_eac and
+(prepare_operands, which calls the summand layouts, csa_eac and
 mod_add_end_around) and keeps every intermediate as a BitWord; that
 staged path is the reference the fused kernel is tested against.
 
 Only reverse_convert is defined here.  The staged path, from BitWord to
-decode_trace, is in rns3.datapath, which loads on the first read of one
-of its names from this module (the name is then bound here), so a
-process that only encodes and decodes never compiles it.
+decode_trace, and the summand layouts it wires are in rns3.datapath,
+which loads on the first read of one of its names from this module (the
+name is then bound here), so a process that only encodes and decodes
+never compiles it.
 """
 
 from __future__ import annotations

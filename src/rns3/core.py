@@ -199,7 +199,8 @@ def make_moduli_set(n: int) -> ModuliSet:
     last are kept, so a repeated call returns the same object, built and
     checked once.  A build that raises is not kept.
     """
-    # Type-check before the cache lookup: True == 1 and the two hash alike.
+    # Type-check before the cache lookup, which would raise TypeError, not
+    # ParameterError, for an unhashable n such as [1].
     if type(n) is not int:
         raise ParameterError(f"set parameter n must be an int, got {_shown(n)}")
     return _moduli_set(n)

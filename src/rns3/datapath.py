@@ -3,6 +3,22 @@
 rns3.converter forwards these names and imports this module on the first
 read of one, so a process that only encodes and decodes never compiles
 it; decode --trace, verify's lemma check and the gate census load it.
+
+Summand layouts, MSB first, segment widths in brackets:
+
+    s1_prime = ~r1[n]    | ~r3[2n+1]     | ones[n-1]
+    s2       = r2[n..0]  | r2[2n-1..0]   | r2[2n-1..n+1]
+    s31      = r3[n..0]  | zeros[2n-1]   | r3[2n..n+1]
+
+Their values modulo 2^(4n)-1 are the three coefficient products
+-2^(3n)*r1 - 2^(n-1)*r3, (2^(3n-1)+2^(n-1))*r2 and 2^(3n-1)*r3: shifts
+are rotations in this modulus and negations are complements.  s1_prime
+folds the r1 word and the complemented-r3 word into one summand; the
+leftover filler is the all-ones word, which is congruent to zero, so a
+single carry-save level suffices for all three channels.
+
+The layout functions build each summand segment by segment from the
+size n alone; they are the one reference for this wiring.
 """
 
 from __future__ import annotations
@@ -66,9 +82,7 @@ class BitWord:
 
 
 def bit_slice(x: int, hi: int, lo: int) -> BitWord:
-    """Bits hi..lo of x as a word; hi < lo yields a zero-width word."""
-    if hi < lo:
-        return BitWord(0, 0)
+    """Bits hi..lo of x as a word; hi = lo - 1 yields a zero-width word."""
     width = hi - lo + 1
     return BitWord((x >> lo) & ((1 << width) - 1), width)
 

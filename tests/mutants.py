@@ -2,18 +2,18 @@
 the checks around them.
 
 Each row of MUTANTS names a source file, a piece of text that occurs in
-it exactly once, a replacement and what the mutant breaks.  For each row
-the script copies src/, tests/ and pyproject.toml into a temporary
-directory, applies the replacement there (never in the working tree) and
-runs
+it exactly once, a replacement, what the mutant breaks and, optionally,
+the test file that kills it.  For each row the script copies src/,
+tests/ and pyproject.toml into a temporary directory, applies the
+replacement there (never in the working tree) and runs
 
     python -m pytest -x -q -k "not python_O" <TEST_FILES>
 
-on the copy, with the mutated module's own test file first, since it
-most often fails first.  The same command first runs once on an
-unmutated copy, and the script exits 1 unless that run passes, so a kill
-counts only against a suite that passes on the clean tree.  A mutant is
-killed when pytest fails.  The script exits 1 if any mutant survives, or
+on the copy, with the row's test file first: by default the mutated
+module's own, tests/test_<module>.py, since it most often fails first.
+The same command first runs once on an unmutated copy, and the script
+exits 1 unless that run passes, so a kill counts only against a suite
+that passes on the clean tree.  A mutant is killed when pytest fails.  The script exits 1 if any mutant survives, or
 if any row's text (EQUIVALENT rows included) does not occur exactly
 once, so the table keeps pace with the code.
 
@@ -41,10 +41,8 @@ TEST_FILES = ("tests/test_core.py", "tests/test_channels.py",
               "tests/test_converter.py", "tests/test_cli.py",
               "tests/test_costs.py")
 
-# Modules tested in a file not named after them.
-OWN_TESTS = {"datapath": "converter"}
-
-# (label, file, text, replacement, what the mutant breaks)
+# (label, file, text, replacement, what the mutant breaks[, test file
+# run first, when it is not the module's own])
 MUTANTS = [
     ("rns_op mul first fold", "src/rns3/channels.py",
      "t2 = a2 * b2\n        t2 = (t2 & m2) + (t2 >> w)\n",
@@ -59,6 +57,11 @@ MUTANTS = [
     ("rns_op all-ones -> 0", "src/rns3/channels.py",
      "0 if t2 == m2 else t2", "t2",
      "the all-ones alias of zero leaks out of the 2^(2n) - 1 channel"),
+    ("rns_op op check", "src/rns3/channels.py",
+     'else:\n        raise ParameterError(f"unknown channel op {_shown(op)}")',
+     "else:\n        pass",
+     "an unknown op on stamped operands raises UnboundLocalError, "
+     "not ParameterError"),
     ("rns_op 2^w+1 product fold", "src/rns3/channels.py",
      "t3 = (t3 & m2) - (t3 >> w)", "t3 = (t3 & m2) + (t3 >> w)",
      "2^(2n) is -1 modulo 2^(2n) + 1, not +1"),
@@ -123,26 +126,30 @@ MUTANTS = [
      "the middle copy of r2 is wired one bit too high"),
     ("csa_eac carry wrap", "src/rns3/datapath.py",
      "BitWord((carry & mask) | (carry >> w), w)", "BitWord(carry & mask, w)",
-     "the staged CSA drops the carry out of the MSB"),
+     "the staged CSA drops the carry out of the MSB",
+     "tests/test_converter.py"),
     ("mod_add_end_around all-ones -> 0", "src/rns3/datapath.py",
      "return 0 if t == mask else t", "return t",
-     "the staged adder returns Y = 2^(4n) - 1 for Y = 0"),
+     "the staged adder returns Y = 2^(4n) - 1 for Y = 0",
+     "tests/test_converter.py"),
     ("merged_summand segment order", "src/rns3/datapath.py",
      "bit_slice(r1, n - 1, 0).complement(),\n"
      "        bit_slice(r3, 2 * n, 0).complement(),",
      "bit_slice(r3, 2 * n, 0).complement(),\n"
      "        bit_slice(r1, n - 1, 0).complement(),",
-     "S1' carries the complemented r1 and r3 in each other's bits"),
+     "S1' carries the complemented r1 and r3 in each other's bits",
+     "tests/test_converter.py"),
     ("ModuliSet n ceiling", "src/rns3/core.py",
      "if n > MAX_N:", "if False:",
      "n = 2^70 raises OverflowError from a shift, not ParameterError"),
     ("BitWord width ceiling", "src/rns3/datapath.py",
      "not 0 <= self.width <= MAX_WIDTH", "self.width < 0",
-     "BitWord(0, 2^70) raises OverflowError from a shift, not ParameterError"),
+     "BitWord(0, 2^70) raises OverflowError from a shift, not ParameterError",
+     "tests/test_converter.py"),
     ("BitWord.ones width ceiling", "src/rns3/datapath.py",
      "not 0 <= width <= MAX_WIDTH", "width < 0",
      "BitWord.ones(2^70) raises OverflowError from a shift, "
-     "not ParameterError"),
+     "not ParameterError", "tests/test_converter.py"),
     ("ChannelId width ceiling", "src/rns3/channels.py",
      "not 1 <= self.k <= MAX_WIDTH", "self.k < 1",
      "ChannelId(kind, 2^70) raises OverflowError from a shift, "
@@ -164,7 +171,7 @@ MUTANTS = [
      "        cells.append([label, str(n), str(delay)])",
      "cells.append([label, str(n), str(channel_adder_delay(kind, n))])",
      "costs --table 3 at a 5000-digit n raises ValueError from str(n), "
-     "not ParameterError"),
+     "not ParameterError", "tests/test_cli.py"),
     ("bench iters ceiling", "src/rns3/cli.py",
      "if args.iters > sys.maxsize:", "if False:",
      "bench --iters above sys.maxsize raises ValueError from islice, "
@@ -216,15 +223,17 @@ EQUIVALENT = [
 def check_table() -> list[str]:
     """A complaint for each row whose text does not occur exactly once."""
     bad = []
-    for label, path, text, _, _ in MUTANTS + EQUIVALENT:
+    for label, path, text, *_ in MUTANTS + EQUIVALENT:
         count = (ROOT / path).read_text().count(text)
         if count != 1:
             bad.append(f"{label}: text occurs {count} times in {path}")
     return bad
 
 
-def run_mutant(path: str, text: str, replacement: str) -> tuple[bool, float]:
-    """(killed, seconds) for one mutant, run on a temporary copy."""
+def run_mutant(path: str, text: str, replacement: str,
+               first: str | None = None) -> tuple[bool, float]:
+    """(killed, seconds) for one mutant, run on a temporary copy; the test
+    file first (by default the module's own) runs before the others."""
     with tempfile.TemporaryDirectory(prefix="rns3-mutant-") as tmp:
         tmp = Path(tmp)
         for tree in ("src", "tests"):
@@ -235,9 +244,8 @@ def run_mutant(path: str, text: str, replacement: str) -> tuple[bool, float]:
         target.write_text(target.read_text().replace(text, replacement))
         env = dict(os.environ, PYTHONPATH=str(tmp / "src"),
                    PYTHONDONTWRITEBYTECODE="1")
-        stem = Path(path).stem
-        own = f"tests/test_{OWN_TESTS.get(stem, stem)}.py"
-        files = sorted(TEST_FILES, key=lambda f: f != own)
+        first = first or f"tests/test_{Path(path).stem}.py"
+        files = sorted(TEST_FILES, key=lambda f: f != first)
         t0 = time.perf_counter()
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -255,15 +263,15 @@ def main() -> int:
         return 1
     for label, _, _, _, why in EQUIVALENT:
         print(f"equivalent, not run: {label}: {why}")
-    _, path, text, _, _ = MUTANTS[0]
+    _, path, text, *_ = MUTANTS[0]
     failed, seconds = run_mutant(path, text, text)  # the text left as it is
     if failed:
         print(f"FAILED   {seconds:5.1f} s  the suite on an unmutated copy")
         return 1
     print(f"passed   {seconds:5.1f} s  the suite on an unmutated copy", flush=True)
     survivors = []
-    for label, path, text, replacement, breaks in MUTANTS:
-        killed, seconds = run_mutant(path, text, replacement)
+    for label, path, text, replacement, breaks, *first in MUTANTS:
+        killed, seconds = run_mutant(path, text, replacement, *first)
         print(f"{'killed' if killed else 'SURVIVED':8} {seconds:5.1f} s  "
               f"{label}: {breaks}", flush=True)
         if not killed:

@@ -123,6 +123,7 @@ def test_criterion_4_operand_value_lemmas():
             for r3 in range(ms.m3):
                 rot = r3_rot_summand(n, r3).value
                 comp = r3_comp_summand(n, r3).value
+                assert rot % modw == (1 << 3 * n - 1) * r3 % modw
                 assert (rot + comp) % modw == coeff3 * r3 % modw
             for r1 in range(ms.m1):
                 s1 = r1_summand(n, r1).value
@@ -205,7 +206,7 @@ def test_criterion_8_homomorphism():
                          forward_convert(ms, y))
             assert got == forward_convert(ms, (x + y) % ms.M)
         # multiplicative homomorphism, sampled
-        for n in (2, 3, 4, 8):
+        for n in (1, 2, 3, 4, 8):
             ms = make_moduli_set(n)
             rng = random.Random(1000 + n)
             for _ in range(100000):

@@ -160,8 +160,10 @@ def test_rns_op_rejects_bad_operands():
         for a, b in ((bad, good), (good, bad)):
             with pytest.raises(ResidueError, match=f"^{message}$"):
                 rns_op(ms, "add", a, b)
-    with pytest.raises(ParameterError, match="unknown channel op 'xor'"):
-        rns_op(ms, "xor", good, good)
+    # A stamped operand skips the checks above; the op is checked still.
+    for v in (good, forward_convert(ms, 100)):
+        with pytest.raises(ParameterError, match="unknown channel op 'xor'"):
+            rns_op(ms, "xor", v, v)
 
 
 def test_rns_op_checks_hand_built_operands_channel_by_channel():
@@ -290,49 +292,6 @@ def test_rns_op_property(case):
         got = rns_op(ms, op, a, b).astuple()
         assert got == tuple(REFERENCE_OPS[op](x, y) % m for x, y, m in
                             zip(a.astuple(), b.astuple(), ms.moduli()))
-
-
-def test_homomorphism_add_exhaustive_n1():
-    ms = make_moduli_set(1)
-    for x in range(ms.M):
-        a = forward_convert(ms, x)
-        for y in range(ms.M):
-            b = forward_convert(ms, y)
-            assert rns_op(ms, "add", a, b) == forward_convert(ms, (x + y) % ms.M)
-
-
-def test_homomorphism_channel_factorized_n2_n3():
-    # rns_op is exhausted channel by channel over every operand pair and
-    # op, on stamped operands: forward_convert of the CRT value a * e_i,
-    # which is a in channel i and 0 in the others.  The vector-level
-    # composition is exercised separately on sampled pairs.
-    for n in (2, 3):
-        ms = make_moduli_set(n)
-        for i, m in enumerate(ms.moduli()):
-            mhat = ms.M // m
-            e = mhat * pow(mhat, -1, m) % ms.M
-            vecs = [forward_convert(ms, a * e % ms.M) for a in range(m)]
-            for a in range(m):
-                for b in range(m):
-                    for op in CHANNEL_OPS:
-                        c = REFERENCE_OPS[op](a, b) % m
-                        assert rns_op(ms, op, vecs[a], vecs[b]).astuple() == tuple(
-                            c if j == i else 0 for j in range(3))
-        rng = random.Random(n)
-        for _ in range(10000):
-            x, y = rng.randrange(ms.M), rng.randrange(ms.M)
-            got = rns_op(ms, "add", forward_convert(ms, x), forward_convert(ms, y))
-            assert got == forward_convert(ms, (x + y) % ms.M)
-
-
-def test_homomorphism_mul_sampled():
-    rng = random.Random(99)
-    for n in (1, 2, 3):
-        ms = make_moduli_set(n)
-        for _ in range(100000):
-            x, y = rng.randrange(ms.M), rng.randrange(ms.M)
-            got = rns_op(ms, "mul", forward_convert(ms, x), forward_convert(ms, y))
-            assert got == forward_convert(ms, x * y % ms.M)
 
 
 def test_homomorphism_random_large_n():
