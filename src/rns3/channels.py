@@ -17,9 +17,10 @@ without a loop or a division:
 
 rns_op reads its masks and the width 2n from the set, which derives them
 once (see core.ModuliSet).  It trusts operands stamped with its set (see
-core.ResidueVector); others pass _check_origin, then channel_op's
-operand-then-op check per channel.  It builds its result in place,
-stamped with the set, by four slot stores (see core.ResidueVector).
+core.ResidueVector); others pass core.validate_residues, a in full, then
+b, and the kernel's own branch on op then refuses an unknown op.  It
+builds its result in place, stamped with the set, by four slot stores
+(see core.ResidueVector).
 
 channel_op and reduce_mod are the plain references, for one channel of
 any width: they check their arguments, then reduce with Python's %.
@@ -37,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from rns3.core import (MAX_WIDTH, ModuliSet, ResidueVector, _check_origin, _new,
-                       _put_r1, _put_r2, _put_r3, _put_set)
-from rns3.errors import ParameterError, ResidueError, _shown
+from rns3.core import (MAX_WIDTH, ModuliSet, ResidueVector, _new, _put_r1, _put_r2,
+                       _put_r3, _put_set, validate_residues)
+from rns3.errors import ParameterError, ResidueError, _check_int, _shown
 
 CHANNEL_OPS = ("add", "sub", "mul")
 
@@ -61,11 +62,7 @@ class ChannelId:
         if not isinstance(self.kind, ChannelKind):
             raise ParameterError(
                 f"channel kind {_shown(self.kind)} is not a ChannelKind")
-        if type(self.k) is not int:
-            raise ParameterError(f"channel width {_shown(self.k)} is not an int")
-        if not 1 <= self.k <= MAX_WIDTH:
-            raise ParameterError(
-                f"channel width must be in [1, {MAX_WIDTH}], got {_shown(self.k)}")
+        _check_int(self.k, "channel width", 1, MAX_WIDTH)
         modulus = 1 << self.k
         if self.kind is ChannelKind.POW2_MINUS1:
             modulus -= 1
@@ -78,10 +75,7 @@ def reduce_mod(chan: ChannelId, x: int) -> int:
     """x >= 0 reduced into [0, modulus) by Python's %."""
     if not isinstance(chan, ChannelId):
         raise ParameterError(f"expected a ChannelId, got {_shown(chan)}")
-    if type(x) is not int:
-        raise ParameterError(f"reduce_mod expects an int, got {_shown(x)}")
-    if x < 0:
-        raise ParameterError("reduce_mod expects a non-negative value")
+    _check_int(x, "x", 0)
     return x % chan.modulus
 
 
@@ -93,20 +87,15 @@ def _check_operand(v, m: int, name: str = "operand") -> None:
             f"{name} {_shown(v)} out of range for modulus {_shown(m)}")
 
 
-def _check_channel(m: int, op: str, a, b) -> None:
-    """Check one channel's operands, then op: the order every caller keeps."""
-    _check_operand(a, m)
-    _check_operand(b, m)
-    if op not in CHANNEL_OPS:
-        raise ParameterError(f"unknown channel op {_shown(op)}")
-
-
 def channel_op(chan: ChannelId, op: str, a: int, b: int) -> int:
     """add/sub/mul of two canonical residues of one channel, by Python's %."""
     if not isinstance(chan, ChannelId):
         raise ParameterError(f"expected a ChannelId, got {_shown(chan)}")
     m = chan.modulus
-    _check_channel(m, op, a, b)
+    _check_operand(a, m)
+    _check_operand(b, m)
+    if op not in CHANNEL_OPS:
+        raise ParameterError(f"unknown channel op {_shown(op)}")
     if op == "mul":
         return a * b % m
     return (a + b if op == "add" else a - b) % m
@@ -116,13 +105,11 @@ def rns_op(ms: ModuliSet, op: str, a: ResidueVector, b: ResidueVector) -> Residu
     """Component-wise arithmetic on two residue vectors of the same set."""
     try:
         checked = a._set is ms and b._set is ms  # both canonical for ms
-    except AttributeError:  # not a vector; _check_origin raises
+    except AttributeError:  # not a vector; validate_residues raises
         checked = False
-    if not checked:
-        _check_origin(ms, a)
-        _check_origin(ms, b)
-        for m, u, v in zip(ms.moduli(), a.astuple(), b.astuple()):
-            _check_channel(m, op, u, v)
+    if not checked:  # a in full, then b; the kernel below checks op
+        validate_residues(ms, a)
+        validate_residues(ms, b)
     a1, a2, a3 = a.r1, a.r2, a.r3
     b1, b2, b3 = b.r1, b.r2, b.r3
     m2, m3, w = ms.m2, ms.m3, ms.chan_bits
@@ -161,22 +148,17 @@ def rotl_mod_pow2_minus1(v: int, k: int, p: int) -> int:
     involved, which is why the converter can absorb all coefficient
     multiplications into wiring.
     """
-    if type(k) is not int or not 1 <= k <= MAX_WIDTH or type(p) is not int:
-        raise ParameterError(f"need an int width in [1, {MAX_WIDTH}] and an int "
-                             f"shift count, got {_shown(k)} and {_shown(p)}")
+    _check_int(k, "width", 1, MAX_WIDTH)
+    _check_int(p, "shift count", 0)
     mask = (1 << k) - 1
     _check_operand(v, mask, "value")
-    if p < 0:
-        raise ParameterError("shift count must be >= 0")
     p %= k
     return ((v << p) & mask) | (v >> (k - p))
 
 
 def neg_mod_pow2_minus1(v: int, k: int) -> int:
     """-v mod (2^k - 1) via one's complement; all-ones canonicalizes to 0."""
-    if type(k) is not int or not 1 <= k <= MAX_WIDTH:
-        raise ParameterError(
-            f"need an int width in [1, {MAX_WIDTH}], got {_shown(k)}")
+    _check_int(k, "width", 1, MAX_WIDTH)
     mask = (1 << k) - 1
     _check_operand(v, mask, "value")
     c = v ^ mask

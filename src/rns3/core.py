@@ -35,7 +35,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from rns3.errors import OutOfRangeError, ParameterError, ResidueError, _shown
+from rns3.errors import (OutOfRangeError, ParameterError, ResidueError, _check_int,
+                          _shown)
 
 if TYPE_CHECKING:
     from rns3.channels import ChannelId
@@ -82,14 +83,8 @@ class ModuliSet:
     n: int
 
     def __post_init__(self):
+        _check_int(self.n, "set parameter n", 1, MAX_N)
         n = self.n
-        if type(n) is not int:
-            raise ParameterError(f"set parameter n must be an int, got {_shown(n)}")
-        if n < 1:
-            raise ParameterError(f"set parameter n must be >= 1, got {_shown(n)}")
-        if n > MAX_N:
-            raise ParameterError(
-                f"set parameter n must be <= {MAX_N}, got {_shown(n)}")
         m1, m2, m3 = 1 << n, (1 << 2 * n) - 1, (1 << 2 * n) + 1
         mhat1 = (1 << 4 * n) - 1  # = m2 * m3; every M // m_i is a shift
         for name, value in dict(
@@ -199,10 +194,9 @@ def make_moduli_set(n: int) -> ModuliSet:
     last are kept, so a repeated call returns the same object, built and
     checked once.  A build that raises is not kept.
     """
-    # Type-check before the cache lookup, which would raise TypeError, not
+    # Checked before the cache lookup, which would raise TypeError, not
     # ParameterError, for an unhashable n such as [1].
-    if type(n) is not int:
-        raise ParameterError(f"set parameter n must be an int, got {_shown(n)}")
+    _check_int(n, "set parameter n", 1, MAX_N)
     return _moduli_set(n)
 
 
@@ -239,7 +233,7 @@ def validate_residues(ms: ModuliSet, rv: ResidueVector) -> None:
     """Raise an RnsError unless ms is a ModuliSet and rv a ResidueVector,
     not stamped with a set of another n, whose residues are canonical."""
     _check_origin(ms, rv)
-    for idx, (r, m) in enumerate(zip(rv.astuple(), ms.moduli()), start=1):
+    for idx, r, m in ((1, rv.r1, ms.m1), (2, rv.r2, ms.m2), (3, rv.r3, ms.m3)):
         if type(r) is not int:
             raise ResidueError(f"R{idx}={_shown(r)} is not an int")
         if not 0 <= r < m:

@@ -34,7 +34,7 @@ from dataclasses import astuple, dataclass, fields
 from enum import Enum
 
 from rns3 import converter
-from rns3.errors import ParameterError, _shown
+from rns3.errors import ParameterError, _check_int, _shown
 
 # The largest size a design or a channel takes, checked before any shift.
 # The model builds 4n-bit summand words but no moduli set, so it goes past
@@ -46,10 +46,7 @@ MAX_SIZE = 1 << 20
 
 def ceil_log2(x: int) -> int:
     """Smallest e with 2^e >= x, for x >= 1."""
-    if type(x) is not int:
-        raise ParameterError(f"ceil_log2 needs an int, got {_shown(x)}")
-    if x < 1:
-        raise ParameterError("ceil_log2 needs x >= 1")
+    _check_int(x, "x", 1)
     return (x - 1).bit_length()
 
 
@@ -95,15 +92,7 @@ class ConverterDesign:
     def __post_init__(self):
         if not isinstance(self.tag, Design):
             raise ParameterError(f"design tag {_shown(self.tag)} is not a Design")
-        if type(self.size) is not int:
-            raise ParameterError(
-                f"design size must be an int, got {_shown(self.size)}")
-        if self.size < 1:
-            raise ParameterError(
-                f"design size must be >= 1, got {_shown(self.size)}")
-        if self.size > MAX_SIZE:
-            raise ParameterError(
-                f"design size must be <= {MAX_SIZE}, got {_shown(self.size)}")
+        _check_int(self.size, "design size", 1, MAX_SIZE)
 
 
 @dataclass(frozen=True)
@@ -235,12 +224,7 @@ def channel_adder_delay(kind: ChannelAdder, n: int) -> int:
     if not isinstance(kind, ChannelAdder):
         raise ParameterError(
             f"channel adder kind {_shown(kind)} is not a ChannelAdder")
-    if type(n) is not int:
-        raise ParameterError(f"n must be an int, got {_shown(n)}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {_shown(n)}")
-    if n > MAX_SIZE:
-        raise ParameterError(f"n must be <= {MAX_SIZE}, got {_shown(n)}")
+    _check_int(n, "n", 1, MAX_SIZE)
     if kind is ChannelAdder.MOD_2POW2N_PLUS1:
         return 2 * ceil_log2(2 * n) + 6
     return 4 * ceil_log2(n) + 7
@@ -271,14 +255,10 @@ def truncate_pct(numer: int, denom: int, places: int) -> str:
 
     Exact integer arithmetic; "10" rather than "10.0", "11.02" kept as is.
     """
-    if not all(type(v) is int for v in (numer, denom, places)):
-        raise ParameterError(
-            f"truncate_pct needs ints, got {_shown(numer)}, {_shown(denom)}, "
-            f"{_shown(places)}")
-    if denom <= 0:
-        raise ParameterError("denominator must be positive")
-    if places < 0:
-        raise ParameterError(f"places must be >= 0, got {_shown(places)}")
+    if type(numer) is not int:
+        raise ParameterError(f"numerator {_shown(numer)} is not an int")
+    _check_int(denom, "denominator", 1)
+    _check_int(places, "places", 0)
     scaled = abs(numer) * 100 * 10**places // denom
     whole, frac = divmod(scaled, 10**places)
     digits = str(frac).rjust(places, "0").rstrip("0")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from rns3.core import MAX_WIDTH, ModuliSet, ResidueVector, validate_residues
-from rns3.errors import ParameterError, _shown
+from rns3.errors import ParameterError, _check_int, _shown
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,9 @@ class BitWord:
     width: int
 
     def __post_init__(self):
-        if type(self.value) is not int or type(self.width) is not int:
-            raise ParameterError(
-                f"value {_shown(self.value)} and width {_shown(self.width)} "
-                "must be ints")
-        if not 0 <= self.width <= MAX_WIDTH:
-            raise ParameterError(
-                f"width must be in [0, {MAX_WIDTH}], got {_shown(self.width)}")
-        if not 0 <= self.value < (1 << self.width):
+        _check_int(self.value, "value", 0)
+        _check_int(self.width, "width", 0, MAX_WIDTH)
+        if self.value >> self.width:
             raise ParameterError(
                 f"value {_shown(self.value)} does not fit in "
                 f"{_shown(self.width)} bits")
@@ -64,9 +59,7 @@ class BitWord:
 
     @classmethod
     def ones(cls, width: int) -> BitWord:
-        if type(width) is not int or not 0 <= width <= MAX_WIDTH:
-            raise ParameterError(
-                f"width must be an int in [0, {MAX_WIDTH}], got {_shown(width)}")
+        _check_int(width, "width", 0, MAX_WIDTH)
         return cls((1 << width) - 1, width)
 
     @classmethod

@@ -1,5 +1,5 @@
-"""Exception types shared across the library, and the value formatting
-their messages use."""
+"""Exception types shared across the library, the value formatting their
+messages use, and the one check of an int argument's type and range."""
 
 
 class RnsError(ValueError):
@@ -32,3 +32,14 @@ def _shown(value) -> str:
             sign = "negative " if value < 0 else ""
             return f"<{sign}{value.bit_length()}-bit int>"
         return f"<{type(value).__name__} too large to show>"
+
+
+def _check_int(value, name: str, lo: int, hi: int | None = None) -> None:
+    """Raise ParameterError unless value is an int, not a bool, in [lo, hi]
+    (with no upper bound if hi is None); the message names it as name."""
+    if type(value) is not int:
+        raise ParameterError(f"{name} must be an int, got {_shown(value)}")
+    if value < lo:
+        raise ParameterError(f"{name} must be >= {lo}, got {_shown(value)}")
+    if hi is not None and value > hi:
+        raise ParameterError(f"{name} must be <= {hi}, got {_shown(value)}")

@@ -3,17 +3,21 @@ the checks around them.
 
 Each row of MUTANTS names a source file, a piece of text that occurs in
 it exactly once, a replacement, what the mutant breaks and, optionally,
-the test file that kills it.  For each row the script copies src/,
-tests/ and pyproject.toml into a temporary directory, applies the
-replacement there (never in the working tree) and runs
+the test file or the test (a pytest node id, tests/test_x.py::test_y)
+that kills it.  For each row the script copies src/, tests/ and
+pyproject.toml into a temporary directory, applies the replacement there
+(never in the working tree) and runs
 
-    python -m pytest -x -q -k "not python_O" <TEST_FILES>
+    python -m pytest -x -q --keep-duplicates -k "not python_O" <TEST_FILES>
 
 on the copy, with the row's test file first: by default the mutated
 module's own, tests/test_<module>.py, since it most often fails first.
+A row that names a test runs it before all of TEST_FILES, so that -x
+stops there without waiting for the tests ahead of it in its file.
 The same command first runs once on an unmutated copy, and the script
 exits 1 unless that run passes, so a kill counts only against a suite
-that passes on the clean tree.  A mutant is killed when pytest fails.  The script exits 1 if any mutant survives, or
+that passes on the clean tree.  A mutant is killed when pytest fails.
+The script exits 1 if any mutant survives, or
 if any row's text (EQUIVALENT rows included) does not occur exactly
 once, so the table keeps pace with the code.
 
@@ -42,7 +46,7 @@ TEST_FILES = ("tests/test_core.py", "tests/test_channels.py",
               "tests/test_costs.py")
 
 # (label, file, text, replacement, what the mutant breaks[, test file
-# run first, when it is not the module's own])
+# or test run first, when it is not the module's own file])
 MUTANTS = [
     ("rns_op mul first fold", "src/rns3/channels.py",
      "t2 = a2 * b2\n        t2 = (t2 & m2) + (t2 >> w)\n",
@@ -106,8 +110,13 @@ MUTANTS = [
      "a weight congruent to the inverse, so _check_weights passes it, "
      "but not canonical"),
     ("ModuliSet n >= 1", "src/rns3/core.py",
-     "if n < 1:", "if n < 0:",
+     '_check_int(self.n, "set parameter n", 1, MAX_N)',
+     '_check_int(self.n, "set parameter n", 0, MAX_N)',
      "ModuliSet(0) raises ValueError from a negative shift, "
+     "not ParameterError"),
+    ("make_moduli_set guard", "src/rns3/core.py",
+     '_check_int(n, "set parameter n", 1, MAX_N)', "pass",
+     "make_moduli_set([1]) raises TypeError from the set cache, "
      "not ParameterError"),
     ("huge int by bit length", "src/rns3/errors.py",
      'return f"<{sign}{value.bit_length()}-bit int>"', "return str(value)",
@@ -140,42 +149,62 @@ MUTANTS = [
      "S1' carries the complemented r1 and r3 in each other's bits",
      "tests/test_converter.py"),
     ("ModuliSet n ceiling", "src/rns3/core.py",
-     "if n > MAX_N:", "if False:",
+     '_check_int(self.n, "set parameter n", 1, MAX_N)',
+     '_check_int(self.n, "set parameter n", 1)',
      "n = 2^70 raises OverflowError from a shift, not ParameterError"),
     ("BitWord width ceiling", "src/rns3/datapath.py",
-     "not 0 <= self.width <= MAX_WIDTH", "self.width < 0",
-     "BitWord(0, 2^70) raises OverflowError from a shift, not ParameterError",
+     '_check_int(self.width, "width", 0, MAX_WIDTH)',
+     '_check_int(self.width, "width", 0)',
+     "BitWord(0, 2^70) is built, a word no shift could fill",
      "tests/test_converter.py"),
     ("BitWord.ones width ceiling", "src/rns3/datapath.py",
-     "not 0 <= width <= MAX_WIDTH", "width < 0",
+     '_check_int(width, "width", 0, MAX_WIDTH)', '_check_int(width, "width", 0)',
      "BitWord.ones(2^70) raises OverflowError from a shift, "
      "not ParameterError", "tests/test_converter.py"),
     ("ChannelId width ceiling", "src/rns3/channels.py",
-     "not 1 <= self.k <= MAX_WIDTH", "self.k < 1",
+     '_check_int(self.k, "channel width", 1, MAX_WIDTH)',
+     '_check_int(self.k, "channel width", 1)',
      "ChannelId(kind, 2^70) raises OverflowError from a shift, "
      "not ParameterError"),
     ("rotl width ceiling", "src/rns3/channels.py",
-     "not 1 <= k <= MAX_WIDTH or type(p)", "k < 1 or type(p)",
+     '_check_int(k, "width", 1, MAX_WIDTH)\n    _check_int(p,',
+     '_check_int(k, "width", 1)\n    _check_int(p,',
      "rotl_mod_pow2_minus1 at k = 2^70 raises OverflowError from a shift, "
      "not ParameterError"),
     ("neg width ceiling", "src/rns3/channels.py",
-     "not 1 <= k <= MAX_WIDTH:", "k < 1:",
+     'canonicalizes to 0."""\n    _check_int(k, "width", 1, MAX_WIDTH)',
+     'canonicalizes to 0."""\n    _check_int(k, "width", 1)',
      "neg_mod_pow2_minus1 at k = 2^70 raises OverflowError from a shift, "
      "not ParameterError"),
     ("cost model size ceiling", "src/rns3/costs.py",
-     "if self.size > MAX_SIZE:", "if False:",
+     '_check_int(self.size, "design size", 1, MAX_SIZE)',
+     '_check_int(self.size, "design size", 1)',
      "costs --table 1 at n = 2^70 raises OverflowError from a shift, "
      "not ParameterError"),
+    ("guard type test", "src/rns3/errors.py",
+     "if type(value) is not int:", "if False:",
+     "1.5 and True pass as ints, and None and '3' raise TypeError from "
+     "the bound compare, not ParameterError",
+     "tests/test_core.py::test_every_int_argument_is_guarded"),
+    ("guard lo compare", "src/rns3/errors.py",
+     "if value < lo:", "if value < lo - 1:",
+     "every guarded argument admits lo - 1",
+     "tests/test_core.py::test_every_int_argument_is_guarded"),
+    ("guard hi compare", "src/rns3/errors.py",
+     "if hi is not None and value > hi:", "if hi is not None and value > hi + 1:",
+     "every bounded argument admits hi + 1",
+     "tests/test_core.py::test_every_int_argument_is_guarded"),
     ("channel delay table checks n first", "src/rns3/costs.py",
      "delay = channel_adder_delay(kind, n)  # checks n before str(n)\n"
      "        cells.append([label, str(n), str(delay)])",
      "cells.append([label, str(n), str(channel_adder_delay(kind, n))])",
      "costs --table 3 at a 5000-digit n raises ValueError from str(n), "
-     "not ParameterError", "tests/test_cli.py"),
+     "not ParameterError",
+     "tests/test_cli.py::test_argument_beyond_int_str_digit_limit_exits_2"),
     ("bench iters ceiling", "src/rns3/cli.py",
      "if args.iters > sys.maxsize:", "if False:",
      "bench --iters above sys.maxsize raises ValueError from islice, "
-     "not exit 2"),
+     "not exit 2", "tests/test_cli.py::test_usage_errors_exit_2"),
     ("crt_reconstruct second -M", "src/rns3/core.py",
      "        x -= M\n        if x >= M:\n            x -= M\n",
      "        x -= M\n",
@@ -233,7 +262,8 @@ def check_table() -> list[str]:
 def run_mutant(path: str, text: str, replacement: str,
                first: str | None = None) -> tuple[bool, float]:
     """(killed, seconds) for one mutant, run on a temporary copy; the test
-    file first (by default the module's own) runs before the others."""
+    file first (by default the module's own) runs before the others, and
+    a test first runs before all of them."""
     with tempfile.TemporaryDirectory(prefix="rns3-mutant-") as tmp:
         tmp = Path(tmp)
         for tree in ("src", "tests"):
@@ -245,11 +275,14 @@ def run_mutant(path: str, text: str, replacement: str,
         env = dict(os.environ, PYTHONPATH=str(tmp / "src"),
                    PYTHONDONTWRITEBYTECODE="1")
         first = first or f"tests/test_{Path(path).stem}.py"
-        files = sorted(TEST_FILES, key=lambda f: f != first)
+        if "::" in first:  # a test: it runs again in its file's turn
+            files = [first, *TEST_FILES]
+        else:
+            files = sorted(TEST_FILES, key=lambda f: f != first)
         t0 = time.perf_counter()
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "-k", "not python_O", *files],
+             "--keep-duplicates", "-k", "not python_O", *files],
             cwd=tmp, env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL)
         return result.returncode != 0, time.perf_counter() - t0

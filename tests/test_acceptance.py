@@ -205,8 +205,13 @@ def test_criterion_8_homomorphism():
             got = rns_op(ms, "add", forward_convert(ms, x),
                          forward_convert(ms, y))
             assert got == forward_convert(ms, (x + y) % ms.M)
-        # multiplicative homomorphism, sampled
-        for n in (1, 2, 3, 4, 8):
+        # multiplicative homomorphism: every pair at n=1, sampled above
+        ms = make_moduli_set(1)
+        vecs = [forward_convert(ms, x) for x in range(ms.M)]
+        for x in range(ms.M):
+            for y in range(ms.M):
+                assert rns_op(ms, "mul", vecs[x], vecs[y]) == vecs[x * y % ms.M]
+        for n in (2, 3, 4, 8):
             ms = make_moduli_set(n)
             rng = random.Random(1000 + n)
             for _ in range(100000):

@@ -39,15 +39,18 @@ def test_bitword_validation():
         BitWord(1, 0)
     with pytest.raises(ParameterError):
         BitWord(0, -1)
-    for value, width in ((1.5, 2), (1, 2.0), (True, 1), (1, True)):
-        with pytest.raises(ParameterError, match="must be ints$"):
+    for value, width, message in ((1.5, 2, "value must be an int, got 1.5"),
+                                  (1, 2.0, "width must be an int, got 2.0"),
+                                  (True, 1, "value must be an int, got True"),
+                                  (1, True, "width must be an int, got True")):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
             BitWord(value, width)
 
 
 @pytest.mark.parametrize("width", [MAX_WIDTH + 1, 2 ** 70])
 def test_bitword_widths_above_the_ceiling_are_refused(width):
     # Checked before any shift: 2^70 would overflow, 2^40 take 128 GiB.
-    message = rf"in \[0, {MAX_WIDTH}\], got {width}$"
+    message = f"^width must be <= {MAX_WIDTH}, got {width}$"
     for build in (lambda: BitWord(0, width), lambda: BitWord.ones(width),
                   lambda: BitWord.zeros(width)):
         with pytest.raises(ParameterError, match=message):

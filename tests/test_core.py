@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import functools
 import pickle
+import random
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rns3 import core
-from rns3.channels import reduce_mod, rns_op
+from rns3.channels import (
+    ChannelId,
+    ChannelKind,
+    neg_mod_pow2_minus1,
+    reduce_mod,
+    rns_op,
+    rotl_mod_pow2_minus1,
+)
 from rns3.converter import BitWord, decode_trace, prepare_operands, reverse_convert
 from rns3.core import (
     ResidueVector,
@@ -23,8 +31,17 @@ from rns3.core import (
     pairwise_coprime,
     validate_residues,
 )
-from rns3.costs import emit_table
-from rns3.errors import OutOfRangeError, ParameterError, ResidueError, RnsError
+from rns3.costs import (
+    MAX_SIZE,
+    ChannelAdder,
+    ConverterDesign,
+    Design,
+    ceil_log2,
+    channel_adder_delay,
+    emit_table,
+    truncate_pct,
+)
+from rns3.errors import OutOfRangeError, ParameterError, ResidueError, RnsError, _shown
 
 
 def brute_force_decode(ms, rv):
@@ -237,7 +254,7 @@ HUGE_INPUTS = {
     "rns_op": (
         lambda: rns_op(make_moduli_set(2), "add", ResidueVector(0, 0, 0),
                        ResidueVector(0, 0, HUGE)),
-        "operand <16610-bit int> out of range for modulus 17"),
+        "R3=<16610-bit int> out of range for modulus 17"),
     "make_moduli_set": (
         lambda: make_moduli_set(-HUGE),
         "must be >= 1, got <negative 16610-bit int>"),
@@ -252,6 +269,44 @@ def test_messages_show_huge_ints_by_bit_length(call, shown):
     with pytest.raises(RnsError) as info:
         call()
     assert shown in str(info.value)
+
+
+# Every argument that errors._check_int guards: a call of the value with
+# the site's other arguments valid, and the site's bounds lo and hi (None
+# for no upper bound).
+INT_GUARDED = {
+    "ModuliSet": (core.ModuliSet, 1, core.MAX_N),
+    "make_moduli_set": (make_moduli_set, 1, core.MAX_N),
+    "ChannelId": (lambda k: ChannelId(ChannelKind.POW2, k), 1, core.MAX_WIDTH),
+    "reduce_mod": (lambda x: reduce_mod(ChannelId(ChannelKind.POW2, 2), x), 0, None),
+    "rotl_mod_pow2_minus1-k": (lambda k: rotl_mod_pow2_minus1(0, k, 1),
+                               1, core.MAX_WIDTH),
+    "rotl_mod_pow2_minus1-p": (lambda p: rotl_mod_pow2_minus1(0, 4, p), 0, None),
+    "neg_mod_pow2_minus1": (lambda k: neg_mod_pow2_minus1(0, k), 1, core.MAX_WIDTH),
+    "BitWord-value": (lambda v: BitWord(v, 8), 0, None),
+    "BitWord-width": (lambda w: BitWord(0, w), 0, core.MAX_WIDTH),
+    "BitWord.ones": (BitWord.ones, 0, core.MAX_WIDTH),
+    "ceil_log2": (ceil_log2, 1, None),
+    "ConverterDesign": (lambda s: ConverterDesign(Design.OURS, s), 1, MAX_SIZE),
+    "channel_adder_delay": (lambda n: channel_adder_delay(ChannelAdder.MOD_HIASAT, n),
+                            1, MAX_SIZE),
+    "truncate_pct-denominator": (lambda d: truncate_pct(1, d, 2), 1, None),
+    "truncate_pct-places": (lambda p: truncate_pct(1, 3, p), 0, None),
+}
+
+
+@pytest.mark.parametrize("call, lo, hi", INT_GUARDED.values(), ids=INT_GUARDED)
+def test_every_int_argument_is_guarded(call, lo, hi):
+    # Wrong types, then values past each bound: 2^70 and a 5000-digit int
+    # past hi, or, at a site with no hi, their negatives past lo.
+    beyond = (lo - 1, -2 ** 70, -HUGE) if hi is None else (lo - 1, hi + 1, 2 ** 70, HUGE)
+    for value in (None, 1.5, True, "3", *beyond):
+        with pytest.raises(RnsError) as info:
+            call(value)
+        assert info.type is ParameterError
+        assert str(info.value).endswith(f", got {_shown(value)}")
+    for value in (lo,) if hi is None else (lo, hi):
+        call(value)
 
 
 def test_forward_convert_examples():
@@ -513,6 +568,21 @@ def test_crt_reconstruct_matches_textbook_crt_property(case):
     ms, residues = case
     want = textbook_crt(ms.n, residues)
     assert crt_reconstruct(ms, ResidueVector(*residues)) == want
+
+
+def test_codec_at_the_largest_n():
+    # The property tests draw n <= 4096; the guard admits n up to MAX_N.
+    ms = make_moduli_set(core.MAX_N)
+    rng = random.Random(65536)
+    for x in (0, ms.M - 1, *(rng.randrange(ms.M) for _ in range(3))):
+        rv = forward_convert(ms, x)
+        assert rv.astuple() == (x % ms.m1, x % ms.m2, x % ms.m3)
+        assert reverse_convert(ms, rv) == x
+        assert crt_reconstruct(ms, rv) == x
+    x, y = rng.randrange(ms.M), rng.randrange(ms.M)
+    a, b = forward_convert(ms, x), forward_convert(ms, y)
+    for op, want in (("add", x + y), ("sub", x - y), ("mul", x * y)):
+        assert reverse_convert(ms, rns_op(ms, op, a, b)) == want % ms.M
 
 
 def test_crt_reconstruct_rejects_bad_residue():
