@@ -17,9 +17,10 @@ stops there without waiting for the tests ahead of it in its file.
 The same command first runs once on an unmutated copy, and the script
 exits 1 unless that run passes, so a kill counts only against a suite
 that passes on the clean tree.  A mutant is killed when pytest fails.
-The script exits 1 if any mutant survives, or
+The script exits 1 if any mutant survives,
 if any row's text (EQUIVALENT rows included) does not occur exactly
-once, so the table keeps pace with the code.
+once, or if a row names a test that its file does not define, so the
+table keeps pace with the code and the tests.
 
 Run every row from the repository root:
 
@@ -200,11 +201,11 @@ MUTANTS = [
      "cells.append([label, str(n), str(channel_adder_delay(kind, n))])",
      "costs --table 3 at a 5000-digit n raises ValueError from str(n), "
      "not ParameterError",
-     "tests/test_cli.py::test_argument_beyond_int_str_digit_limit_exits_2"),
+     "tests/test_cli.py::test_cli_transcript"),
     ("bench iters ceiling", "src/rns3/cli.py",
      "if args.iters > sys.maxsize:", "if False:",
      "bench --iters above sys.maxsize raises ValueError from islice, "
-     "not exit 2", "tests/test_cli.py::test_usage_errors_exit_2"),
+     "not exit 2", "tests/test_cli.py::test_cli_transcript"),
     ("crt_reconstruct second -M", "src/rns3/core.py",
      "        x -= M\n        if x >= M:\n            x -= M\n",
      "        x -= M\n",
@@ -250,12 +251,20 @@ EQUIVALENT = [
 
 
 def check_table() -> list[str]:
-    """A complaint for each row whose text does not occur exactly once."""
+    """A complaint for each row whose text does not occur exactly once, and
+    for each row that names a test its file does not define: pytest exits
+    non-zero on an unknown node id, which would count as a kill."""
     bad = []
     for label, path, text, *_ in MUTANTS + EQUIVALENT:
         count = (ROOT / path).read_text().count(text)
         if count != 1:
             bad.append(f"{label}: text occurs {count} times in {path}")
+    for label, *_, first in (row for row in MUTANTS if len(row) == 6):
+        path, _, test = first.partition("::")
+        source = ROOT / path
+        if test and not (source.is_file()
+                         and f"def {test}(" in source.read_text()):
+            bad.append(f"{label}: {path} defines no {test}")
     return bad
 
 

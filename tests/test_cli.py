@@ -4,6 +4,7 @@ import json
 import operator
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rns3 import channels, cli, converter, core, costs
+from rns3 import channels, cli, converter, core
 from rns3.cli import main
 
-GOLDEN = Path(__file__).parent / "golden" / "table4.csv"
+TRANSCRIPT = Path(__file__).parent / "golden" / "cli.txt"
 
 
 def run(capsys, *argv):
@@ -27,57 +28,63 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_encode(capsys):
-    code, out, _ = run(capsys, "encode", "--n", "2", "100")
-    assert code == 0
-    assert out == "R1=0 R2=10 R3=15\n"
+def _transcript_runs(text):
+    """(argv, exit code, stdout, stderr) for each block of a transcript: a
+    `$ rns3 ARGS` line, an `exit N` line, the command's stdout verbatim,
+    then its stderr with `! ` before each line."""
+    if not text.endswith("\n"):
+        raise ValueError("the last block's output has no final newline")
+    head, *blocks = re.split(r"^\$ rns3 ", text, flags=re.M)
+    if head:
+        raise ValueError(f"text before the first block: {head[:40]!r}")
+    runs = []
+    for block in blocks:
+        args, *lines = block.split("\n")[:-1]
+        if not (lines and re.fullmatch(r"exit \d+", lines[0])):
+            raise ValueError(f"no exit line after `$ rns3 {args[:40]}`")
+        out = "".join(line + "\n" for line in lines[1:]
+                      if not line.startswith("! "))
+        err = "".join(line[2:] + "\n" for line in lines[1:]
+                      if line.startswith("! "))
+        runs.append((args.split(), int(lines[0][5:]), out, err))
+    return runs
 
 
-def test_encode_hex_input(capsys):
-    code, out, _ = run(capsys, "encode", "--n", "2", "0x64")
-    assert code == 0 and out == "R1=0 R2=10 R3=15\n"
+CLI_RUNS = _transcript_runs(TRANSCRIPT.read_text())
+# The paper's Tables 1-3 at four sizes in both formats, and Tables 1-2 at
+# an m of their own; test_costs_tables_match_golden runs these blocks and
+# test_cli_transcript the rest.
+COSTS_TABLES = {f"costs --table {t} --n {n} --format {fmt}"
+                for t in "123" for n in (1, 4, 13, 64)
+                for fmt in ("text", "csv")}
+COSTS_TABLES |= {f"costs --table {t} --n 4 --m 9 --format {fmt}"
+                 for t in "12" for fmt in ("text", "csv")}
+COSTS_RUNS = [r for r in CLI_RUNS if " ".join(r[0]) in COSTS_TABLES]
+OTHER_RUNS = [r for r in CLI_RUNS if " ".join(r[0]) not in COSTS_TABLES]
 
 
-def test_encode_out_of_range(capsys):
-    code, out, err = run(capsys, "encode", "--n", "2", "1020")
-    assert code == 2
-    assert "X must be < 1020" in err and out == ""
+def _run_id(argv):
+    return " ".join(a if len(a) <= 24 else f"{a[:6]}...({len(a)} chars)"
+                    for a in argv)
 
 
-def test_decode(capsys):
-    code, out, _ = run(capsys, "decode", "--n", "2", "0", "10", "15")
-    assert code == 0
-    assert out == "X=100\n"
+def _check_block(capsys, monkeypatch, argv, code, out, err):
+    # argparse wraps help and usage errors to the terminal width, which
+    # it reads from COLUMNS first.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (code, out, err)
 
 
-def test_decode_trace(capsys):
-    code, out, _ = run(capsys, "decode", "--n", "2", "--trace", "0", "10", "15")
-    assert code == 0
-    assert out.splitlines() == [
-        "S1'=11100001", "S2=01010101", "S31=11100001",
-        "CSA sum=01010101 carry=11000011", "Y=25 X=100"]
+@pytest.mark.parametrize("argv, code, out, err", OTHER_RUNS,
+                         ids=[_run_id(argv) for argv, *_ in OTHER_RUNS])
+def test_cli_transcript(capsys, monkeypatch, argv, code, out, err):
+    _check_block(capsys, monkeypatch, argv, code, out, err)
 
 
-def test_decode_residue_out_of_range(capsys):
-    code, _, err = run(capsys, "decode", "--n", "2", "0", "15", "15")
-    assert code == 2
-    assert "R2" in err
-
-
-def test_verify_random_draws_10000_samples_by_default(capsys):
-    code, out, _ = run(capsys, "verify", "--n", "1", "--random")
-    assert code == 0
-    assert out.splitlines() == [
-        "roundtrip: checked 10000, failed 0",
-        "operand lemmas: checked 10000, failed 0",
-        "homomorphism: checked 10000, failed 0",
-        "checked 10000 values, 0 failures"]
-
-
-def test_verify_exhaustive_rejected_for_large_n(capsys):
-    code, _, err = run(capsys, "verify", "--n", "5", "--exhaustive")
-    assert code == 2
-    assert "--random" in err
+@pytest.mark.parametrize("argv, code, out, err", COSTS_RUNS,
+                         ids=[" ".join(argv[1:]) for argv, *_ in COSTS_RUNS])
+def test_costs_tables_match_golden(capsys, monkeypatch, argv, code, out, err):
+    _check_block(capsys, monkeypatch, argv, code, out, err)
 
 
 def test_verify_random_deterministic(capsys):
@@ -88,27 +95,6 @@ def test_verify_random_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.endswith("checked 2000 values, 0 failures\n")
-
-
-def _verify_text(values, lemmas, homs):
-    return (f"roundtrip: checked {values}, failed 0\n"
-            f"operand lemmas: checked {lemmas}, failed 0\n"
-            f"homomorphism: checked {homs}, failed 0\n"
-            f"checked {values} values, 0 failures\n")
-
-
-@pytest.mark.parametrize("argv, expected", [
-    (("--n", "1", "--exhaustive"), _verify_text(30, 13, 1114)),
-    (("--n", "2", "--exhaustive"), _verify_text(1020, 83, 2590)),
-    (("--n", "3", "--exhaustive"), _verify_text(32760, 583, 25774)),
-    (("--n", "16", "--random", "--samples", "500", "--seed", "7"),
-     _verify_text(500, 500, 500)),
-    (("--n", "4096", "--random", "--samples", "40", "--seed", "1"),
-     _verify_text(40, 40, 40)),
-])
-def test_verify_output(capsys, argv, expected):
-    code, out, err = run(capsys, "verify", *argv)
-    assert (code, out, err) == (0, expected, "")
 
 
 # The checker's references reduce by end-around folds; these pin the folds
@@ -250,51 +236,29 @@ def test_verify_under_python_O(capsys):
         assert proc.stdout == run(capsys, *argv)[1]
 
 
-def test_costs_table4_matches_golden(capsys):
-    code, out, _ = run(capsys, "costs", "--table", "4", "--format", "csv")
-    assert code == 0
-    assert out == GOLDEN.read_text()
-
-
-def _golden_costs_runs():
-    """(argv, stdout) pairs from costs_tables.txt: each block is a
-    `$ rns3 ...` line followed by that command's exact output."""
-    text = (GOLDEN.parent / "costs_tables.txt").read_text()
-    return [(head.split(), body)
-            for head, _, body in (block.partition("\n")
-                                  for block in text.split("$ rns3 ")[1:])]
-
-
-COSTS_RUNS = _golden_costs_runs()
-
-
-@pytest.mark.parametrize("argv, expected", COSTS_RUNS,
-                         ids=[" ".join(argv[1:]) for argv, _ in COSTS_RUNS])
-def test_costs_tables_match_golden(capsys, argv, expected):
-    assert run(capsys, *argv) == (0, expected, "")
-
-
 def test_costs_golden_covers_tables_1_to_3():
-    runs = {" ".join(argv) for argv, _ in COSTS_RUNS}
-    want = {f"costs --table {t} --n {n} --format {fmt}"
-            for t in "123" for n in (1, 4, 13, 64) for fmt in ("text", "csv")}
-    want |= {f"costs --table {t} --n 4 --m 9 --format {fmt}"
-             for t in "12" for fmt in ("text", "csv")}
-    assert runs == want
-
-
-def test_costs_other_tables(capsys):
-    for table in ("1", "2", "3"):
-        code, out, _ = run(capsys, "costs", "--table", table, "--n", "4")
-        assert code == 0 and out
-    code, _, err = run(capsys, "costs", "--table", "2")
-    assert code == 2 and "--n" in err
-
-
-def test_costs_unknown_table(capsys):
-    code, _, err = run(capsys, "costs", "--table", "9")
-    assert code == 2
-    assert "unknown table" in err
+    runs = {" ".join(argv) for argv, *_ in CLI_RUNS}
+    want = set(COSTS_TABLES)
+    # Each boundary of every subcommand, error exits included.
+    big, huge = "0x400000000000000000", "0x" + "f" * 5000
+    for n in ("0", "65537", big):
+        want |= {f"encode --n {n} 1", f"decode --n {n} 0 0 0",
+                 f"verify --n {n} --random --samples 1"}
+    want |= {f"costs --table {t} --n {n}"
+             for t in "123" for n in ("4", "65536", "0x100001", big)}
+    want |= {
+        "--help", "encode --n 2 1020", f"encode --n 2 {huge}",
+        "decode --n 2 0 10 15", "decode --n 2 --trace 0 10 15",
+        f"decode --n 2 0 10 {huge}",
+        *(f"verify --n {n} --exhaustive" for n in range(1, 6)),
+        "verify --n 1 --random", "verify --n 16 --random --samples 500 --seed 7",
+        "verify --n 4096 --random --samples 40 --seed 1",
+        "verify --n 65536 --random --samples 1",
+        "costs --table 4", "costs --table 4 --format csv", "costs --table 2",
+        "costs --table 9", f"costs --table {huge}", f"costs --table 3 --n {huge}",
+        "bench --n 0", "bench --n 2 --iters 0", f"bench --n 1 --iters {2**63}",
+    }
+    assert want - runs == set()
 
 
 def test_bench_minimal(capsys):
@@ -424,47 +388,6 @@ def test_verify_memory_does_not_grow_with_failures(capsys, monkeypatch):
     assert big < small + 100_000
 
 
-def test_n_above_the_ceiling_exits_2(capsys):
-    for argv in (("encode", "--n", "0x400000000000000000", "1"),
-                 ("decode", "--n", "65537", "0", "0", "0"),
-                 ("verify", "--n", "65537", "--random", "--samples", "1")):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("set parameter n must be <= 65536, got ")
-
-
-@pytest.mark.parametrize("table, head", [("1", "design size"),
-                                         ("2", "design size"), ("3", "n")])
-def test_costs_size_above_the_ceiling_exits_2(capsys, table, head):
-    top = costs.MAX_SIZE
-    for n in (top + 1, 0x400000000000000000):
-        code, out, err = run(capsys, "costs", "--table", table, "--n", hex(n))
-        assert code == 2 and out == ""
-        assert err == f"{head} must be <= {top}, got {n}\n"
-    # The largest set's n still prints, beside the classic set's matched m.
-    code, out, _ = run(capsys, "costs", "--table", table, "--n", str(core.MAX_N))
-    assert code == 0 and f"  {core.MAX_N}  " in out
-
-
-def test_usage_errors_exit_2(capsys):
-    assert run(capsys, "bench", "--n", "0")[0] == 2
-    assert run(capsys, "encode", "--n", "2", "-5")[0] == 2
-    assert run(capsys, "encode", "--n", "2", "zzz")[0] == 2
-    assert run(capsys, "nonsense")[0] == 2
-    assert run(capsys, "verify", "--n", "2", "--random", "--seed", "-1")[0] == 2
-    assert run(capsys, "verify", "--n", "2", "--random", "--samples", "0")[0] == 2
-    assert run(capsys, "bench", "--n", "2", "--iters", "0")[0] == 2
-    # Only a refused bench count is run: an accepted one this large would
-    # not return.
-    top = sys.maxsize
-    assert run(capsys, "bench", "--n", "1", "--iters", str(top + 1)) == (
-        2, "", f"--iters must be <= {top}, got {top + 1}\n")
-
-
-def test_help_exits_0(capsys):
-    assert run(capsys, "--help")[0] == 0
-
-
 def _from_digits(digits):
     x = 0
     for d in digits:
@@ -500,20 +423,6 @@ def test_encode_beyond_int_str_digit_limit(capsys):
     assert code == 0
     residues = [_from_digits(part.split("=")[1]) for part in out.split()]
     assert residues == [(1 << n) - 2, x, x]
-
-
-@pytest.mark.parametrize("argv, message", [
-    (("decode", "--n", "2", "0", "10", "0x" + "f" * 5000),
-     "R3=<20000-bit int> out of range for modulus 17"),
-    (("costs", "--table", "0x" + "f" * 5000),
-     "unknown table id <20000-bit int> (expected 1-4)"),
-    (("costs", "--table", "3", "--n", "0x" + "f" * 5000),
-     "n must be <= 1048576, got <20000-bit int>"),
-], ids=["decode", "costs", "costs-table-3"])
-def test_argument_beyond_int_str_digit_limit_exits_2(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err == message + "\n"
 
 
 def test_verify_lists_failures_beyond_int_str_digit_limit(capsys, monkeypatch):

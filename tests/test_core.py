@@ -4,8 +4,11 @@ import ast
 import copy
 import dataclasses
 import functools
+import gc
 import pickle
 import random
+import sys
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -583,6 +586,36 @@ def test_codec_at_the_largest_n():
     a, b = forward_convert(ms, x), forward_convert(ms, y)
     for op, want in (("add", x + y), ("sub", x - y), ("mul", x * y)):
         assert reverse_convert(ms, rns_op(ms, op, a, b)) == want % ms.M
+
+
+# What each call leaves allocated: a stamped vector and its three residues,
+# or one decoded int.  At n = 2 cached small ints read below these counts.
+@pytest.mark.parametrize("n", [16, 1024])
+@pytest.mark.parametrize("kernel, blocks", [
+    ("forward_convert", 4), ("rns_op add", 4), ("rns_op sub", 4),
+    ("rns_op mul", 4), ("reverse_convert", 1), ("crt_reconstruct", 1),
+])
+def test_kernels_allocate_a_fixed_number_of_blocks_per_call(kernel, blocks, n):
+    ms = make_moduli_set(n)
+    rng = random.Random(n)
+    xs = [rng.randrange(ms.M) for _ in range(2000)]
+    a = [forward_convert(ms, x) for x in xs]
+    fn, *columns = {
+        "forward_convert": (forward_convert, repeat(ms), xs),
+        "rns_op add": (rns_op, repeat(ms), repeat("add"), a, a[::-1]),
+        "rns_op sub": (rns_op, repeat(ms), repeat("sub"), a, a[::-1]),
+        "rns_op mul": (rns_op, repeat(ms), repeat("mul"), a, a[::-1]),
+        "reverse_convert": (reverse_convert, repeat(ms), a),
+        "crt_reconstruct": (crt_reconstruct, repeat(ms), a),
+    }[kernel]
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        kept = list(map(fn, *columns))  # the results stay alive
+        after = sys.getallocatedblocks()
+    finally:
+        gc.enable()
+    assert (after - before) / len(kept) == pytest.approx(blocks, abs=0.05)
 
 
 def test_crt_reconstruct_rejects_bad_residue():

@@ -19,9 +19,6 @@ from rns3.costs import (
     hw_bill,
     matched_three_channel_size,
     modular_adder_area,
-    render_bill_table,
-    render_channel_delay_table,
-    render_delay_table,
     table4,
     truncate_pct,
 )
@@ -314,11 +311,21 @@ def test_delay_case_and_census():
         assert delay_case(n, matched_three_channel_size(n)) in (1, 2)
 
 
-def test_render_tables_run():
-    for fmt in ("text", "csv"):
-        assert "ours" in render_bill_table(4, None, fmt)
-        assert "ref11" in render_delay_table(4, 6, fmt)
-        assert "2^(2n)+1" in render_channel_delay_table(4, fmt)
-    # delay table evaluates the formulas at the requested sizes
-    assert "ours,4,14" in render_delay_table(4, 6, "csv")
-    assert "ref11,6,16" in render_delay_table(4, 6, "csv")
+def test_ours_is_smaller_and_faster_than_ref1_and_ref9():
+    # The abstract's first claim, against the two converters whose sets
+    # have the same dynamic range.
+    for n in range(1, 257):
+        ours = ConverterDesign(Design.OURS, n)
+        for tag in (Design.REF1, Design.REF9):
+            ref = ConverterDesign(tag, n)
+            assert area_total(hw_bill(ours)) < area_total(hw_bill(ref)), (n, tag)
+            assert delay_total(ours) < delay_total(ref), (n, tag)
+
+
+def test_ours_is_faster_than_ref11_but_larger_at_table4_sizes():
+    # The abstract's second claim, at the 8-, 16-, 32- and 64-bit ranges.
+    for _, n, m in costs.TABLE4_SIZES:
+        ours = ConverterDesign(Design.OURS, n)
+        ref11 = ConverterDesign(Design.REF11, m)
+        assert delay_total(ours) < delay_total(ref11), n
+        assert area_total(hw_bill(ours)) > area_total(hw_bill(ref11)), n
