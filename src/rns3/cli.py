@@ -29,8 +29,8 @@ EXIT_USAGE = 2
 # Sizes whose full value range is small enough to sweep end to end.
 EXHAUSTIVE_MAX_N = 3
 
-# Decimal digits per chunk when printing big integers; well under the
-# interpreter's int-to-str limit (4300 digits by default).
+# Decimal digits per chunk when reading and printing big integers; well
+# under the interpreter's int-str limit (4300 digits by default).
 DECIMAL_CHUNK_DIGITS = 1000
 
 # Failures listed per verify check, smallest first.
@@ -46,7 +46,13 @@ def parse_uint(text: str) -> int:
     try:
         value = int(t, 16) if t.startswith("0x") else int(t, 10)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an unsigned integer: {text!r}")
+        if not (t.isascii() and t.isdigit()):
+            raise argparse.ArgumentTypeError(f"not an unsigned integer: {text!r}")
+        # More digits than int() takes: read them as format_decimal writes.
+        value = 0
+        for i in range(0, len(t), DECIMAL_CHUNK_DIGITS):
+            chunk = t[i:i + DECIMAL_CHUNK_DIGITS]
+            value = value * 10 ** len(chunk) + int(chunk)
     if value < 0:
         raise argparse.ArgumentTypeError(f"value must be >= 0: {text!r}")
     return value

@@ -27,7 +27,7 @@ from rns3.core import ModuliSet, ResidueVector, validate_residues
 # The staged path's names, defined in rns3.datapath.  Listed, not tried,
 # so that other reads (an import probes __path__) leave it unloaded.
 _DATAPATH = frozenset((
-    "BitWord", "DecodeTrace", "OperandSet", "bit_slice", "csa_eac",
+    "BitWord", "DecodeTrace", "OperandSet", "_wired", "csa_eac",
     "decode_trace", "merged_summand", "mod_add_end_around",
     "prepare_operands", "r1_summand", "r2_summand", "r3_comp_summand",
     "r3_rot_summand"))

@@ -17,8 +17,10 @@ folds the r1 word and the complemented-r3 word into one summand; the
 leftover filler is the all-ones word, which is congruent to zero, so a
 single carry-save level suffices for all three channels.
 
-The layout functions build each summand segment by segment from the
-size n alone; they are the one reference for this wiring.
+Each layout function lists its summand's segments as (bits, width)
+pairs in the order drawn above, bits[hi..lo] as bits >> lo, and joins
+them into one word; these functions are the one reference for this
+wiring.
 """
 
 from __future__ import annotations
@@ -74,18 +76,20 @@ class BitWord:
         return format(self.value, f"0{self.width}b") if self.width else ""
 
 
-def bit_slice(x: int, hi: int, lo: int) -> BitWord:
-    """Bits hi..lo of x as a word; hi = lo - 1 yields a zero-width word."""
-    width = hi - lo + 1
-    return BitWord((x >> lo) & ((1 << width) - 1), width)
+def _wired(*segments: tuple[int, int]) -> BitWord:
+    """One word from (bits, width) segments, MSB first: each segment keeps
+    the low width bits of its bits, so ~r is r complemented and -1 is
+    ones."""
+    value = width = 0
+    for bits, w in segments:
+        value = value << w | bits & ((1 << w) - 1)
+        width += w
+    return BitWord(value, width)
 
 
 def r1_summand(n: int, r1: int) -> BitWord:
     """Complemented r1 over an all-ones tail: -2^(3n)*r1 mod 2^(4n)-1."""
-    return BitWord.concat([
-        bit_slice(r1, n - 1, 0).complement(),
-        BitWord.ones(3 * n),
-    ])
+    return _wired((~r1, n), (-1, 3 * n))
 
 
 def r2_summand(n: int, r2: int) -> BitWord:
@@ -94,29 +98,17 @@ def r2_summand(n: int, r2: int) -> BitWord:
     The two rotated copies occupy disjoint bit positions, so their sum is
     plain concatenation and costs no adder.
     """
-    return BitWord.concat([
-        bit_slice(r2, n, 0),
-        bit_slice(r2, 2 * n - 1, 0),
-        bit_slice(r2, 2 * n - 1, n + 1),
-    ])
+    return _wired((r2, n + 1), (r2, 2 * n), (r2 >> n + 1, n - 1))
 
 
 def r3_rot_summand(n: int, r3: int) -> BitWord:
     """r3 rotated left by 3n-1: +2^(3n-1)*r3 mod 2^(4n)-1."""
-    return BitWord.concat([
-        bit_slice(r3, n, 0),
-        BitWord.zeros(2 * n - 1),
-        bit_slice(r3, 2 * n, n + 1),
-    ])
+    return _wired((r3, n + 1), (0, 2 * n - 1), (r3 >> n + 1, n))
 
 
 def r3_comp_summand(n: int, r3: int) -> BitWord:
     """Complemented, rotated r3 between ones fillers: -2^(n-1)*r3."""
-    return BitWord.concat([
-        BitWord.ones(n),
-        bit_slice(r3, 2 * n, 0).complement(),
-        BitWord.ones(n - 1),
-    ])
+    return _wired((-1, n), (~r3, 2 * n + 1), (-1, n - 1))
 
 
 def merged_summand(n: int, r1: int, r3: int) -> BitWord:
@@ -126,11 +118,7 @@ def merged_summand(n: int, r1: int, r3: int) -> BitWord:
     are swapped so that all the ones collect in one word (congruent to
     zero) and the residue bits collect here.
     """
-    return BitWord.concat([
-        bit_slice(r1, n - 1, 0).complement(),
-        bit_slice(r3, 2 * n, 0).complement(),
-        BitWord.ones(n - 1),
-    ])
+    return _wired((~r1, n), (~r3, 2 * n + 1), (-1, n - 1))
 
 
 @dataclass(frozen=True)

@@ -143,11 +143,19 @@ MUTANTS = [
      "the staged adder returns Y = 2^(4n) - 1 for Y = 0",
      "tests/test_converter.py"),
     ("merged_summand segment order", "src/rns3/datapath.py",
-     "bit_slice(r1, n - 1, 0).complement(),\n"
-     "        bit_slice(r3, 2 * n, 0).complement(),",
-     "bit_slice(r3, 2 * n, 0).complement(),\n"
-     "        bit_slice(r1, n - 1, 0).complement(),",
+     "_wired((~r1, n), (~r3, 2 * n + 1), (-1, n - 1))",
+     "_wired((~r3, 2 * n + 1), (~r1, n), (-1, n - 1))",
      "S1' carries the complemented r1 and r3 in each other's bits",
+     "tests/test_converter.py"),
+    ("layout segment mask", "src/rns3/datapath.py",
+     "value = value << w | bits & ((1 << w) - 1)",
+     "value = value << w | bits",
+     "a segment's bits above its width, and a complement's sign, spill "
+     "into the segments before it", "tests/test_converter.py"),
+    ("r2_summand segment width", "src/rns3/datapath.py",
+     "_wired((r2, n + 1), (r2, 2 * n), (r2 >> n + 1, n - 1))",
+     "_wired((r2, n + 1), (r2, 2 * n - 1), (r2 >> n + 1, n - 1))",
+     "S2 loses the top bit of its middle r2 copy and is one bit narrow",
      "tests/test_converter.py"),
     ("ModuliSet n ceiling", "src/rns3/core.py",
      '_check_int(self.n, "set parameter n", 1, MAX_N)',
@@ -202,6 +210,12 @@ MUTANTS = [
      "costs --table 3 at a 5000-digit n raises ValueError from str(n), "
      "not ParameterError",
      "tests/test_cli.py::test_cli_transcript"),
+    ("decimal chunk scale", "src/rns3/cli.py",
+     "value = value * 10 ** len(chunk) + int(chunk)",
+     "value = value * 10 ** DECIMAL_CHUNK_DIGITS + int(chunk)",
+     "a decimal argument past the int-str limit whose last chunk is short "
+     "is read with that chunk's digits too high",
+     "tests/test_cli.py::test_parse_uint_beyond_int_str_digit_limit"),
     ("bench iters ceiling", "src/rns3/cli.py",
      "if args.iters > sys.maxsize:", "if False:",
      "bench --iters above sys.maxsize raises ValueError from islice, "

@@ -237,6 +237,7 @@ def test_criterion_9_csv_byte_stability():
 # fresh interpreters.
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 SUBMODULES = ("errors", "channels", "core", "converter", "datapath", "costs",
               "cli")
 
@@ -326,6 +327,26 @@ def test_channels_loads_on_demand_for_moduli_set_channels():
     assert out == "('pow2', 3, 8) ('pow2_minus1', 6, 63) ('pow2_plus1', 6, 65)\n"
 
 
+def test_the_benchmark_tracer_resolves_every_name_it_wraps():
+    # perfbench/tracer.py wraps rns3 functions and counts BitWords by
+    # name, so install raises AttributeError on a renamed one.
+    out = fresh_python(
+        "import sys\n"
+        f"sys.path.insert(0, {PERFBENCH!r})\n"
+        "from tracer import COUNTS, SPANS, Tracer\n"
+        "from rns3 import datapath, decode_trace, forward_convert, make_moduli_set\n"
+        "stage = datapath.prepare_operands\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "ms = make_moduli_set(16)\n"
+        "assert decode_trace(ms, forward_convert(ms, 99)).x.value == 99\n"
+        "tracer.uninstall()\n"
+        "assert datapath.prepare_operands is stage\n"
+        "print(tracer.calls[SPANS.index('converter.prepare_operands')],\n"
+        "      tracer.counts[COUNTS.index('converter.BitWord')])")
+    assert out == "1 7\n"
+
+
 # The public API: these names, in this order, are a contract.
 PUBLIC_NAMES = """
     BitWord ChannelAdder ChannelId ChannelKind ConverterDesign
@@ -357,9 +378,9 @@ def test_star_import_binds_exactly_all():
     assert out == "ResidueVector(r1=12345, r2=12345, r3=12345)\n"
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "bit_slice", "Enum"])
+@pytest.mark.parametrize("name", ["no_such_name", "merged_summand", "Enum"])
 def test_unknown_name_raises_attribute_error(name):
-    # bit_slice and Enum are module-level names of submodules, but
+    # merged_summand and Enum are module-level names of submodules, but
     # not exports.
     with pytest.raises(AttributeError, match=name):
         getattr(rns3, name)

@@ -416,6 +416,13 @@ def test_decode_beyond_int_str_digit_limit(capsys):
     assert out.splitlines()[-1] == f"Y={x >> BIG_N} X={want}"
 
 
+def test_parse_uint_beyond_int_str_digit_limit():
+    # 4501 digits: four full chunks and a short last one.
+    rng = Random(4501)
+    text = "".join(str(rng.randrange(10)) for _ in range(4501))
+    assert cli.parse_uint(text) == _from_digits(text)
+
+
 def test_encode_beyond_int_str_digit_limit(capsys):
     n = 7200  # r2 and r3 of x below have about 4335 digits
     x = (1 << 2 * n) - 2

@@ -1,6 +1,7 @@
 """Bit words, operand preparation, the carry-save stage and full decoding."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from rns3 import converter, datapath
 from rns3.converter import (
     BitWord,
-    bit_slice,
     csa_eac,
     decode_trace,
     mod_add_end_around,
@@ -84,13 +84,6 @@ def test_bitword_to_binary():
     assert BitWord(0b01010101, 8).to_binary() == "01010101"
     assert BitWord(0, 3).to_binary() == "000"
     assert BitWord(0, 0).to_binary() == ""
-
-
-def test_bit_slice():
-    assert bit_slice(0b1010, 3, 0) == BitWord(0b1010, 4)
-    assert bit_slice(0b1010, 3, 3) == BitWord(1, 1)
-    assert bit_slice(0b1010, 1, 2) == BitWord(0, 0)   # hi < lo collapses
-    assert bit_slice(0b1010, 7, 2) == BitWord(0b10, 6)
 
 
 def test_prepare_operands_worked_example():
@@ -253,6 +246,27 @@ def test_decode_trace_runs_each_public_stage_once(monkeypatch):
     ms = make_moduli_set(3)
     assert decode_trace(ms, forward_convert(ms, 1234)).x == BitWord(1234, 15)
     assert calls == ["prepare_operands", "csa_eac", "mod_add_end_around"]
+
+
+@pytest.mark.parametrize("n", [1, 16, 4096])
+def test_stages_build_only_the_words_they_return(monkeypatch, n):
+    # One BitWord per summand, and one per DecodeTrace field in all.
+    built = []
+    post_init = BitWord.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+    monkeypatch.setattr(BitWord, "__post_init__", counted)
+    ms = make_moduli_set(n)
+    rv = forward_convert(ms, ms.M - 1)
+    ops = prepare_operands(ms, rv)
+    assert len(built) == 3
+    assert all(map(operator.is_, built, (ops.s1_prime, ops.s2, ops.s31)))
+    built.clear()
+    trace = decode_trace(ms, rv)
+    assert len(built) == len(trace) == 7
+    assert all(map(operator.is_, built, trace))
 
 
 def test_decode_trace_matches_fast_path_exhaustive():
