@@ -40,7 +40,7 @@ from enum import Enum
 
 from rns3.core import (MAX_WIDTH, ModuliSet, ResidueVector, _new, _put_r1, _put_r2,
                        _put_r3, _put_set, validate_residues)
-from rns3.errors import ParameterError, ResidueError, _check_int, _shown
+from rns3.errors import ParameterError, _check_int, _check_residue, _shown
 
 CHANNEL_OPS = ("add", "sub", "mul")
 
@@ -79,21 +79,13 @@ def reduce_mod(chan: ChannelId, x: int) -> int:
     return x % chan.modulus
 
 
-def _check_operand(v, m: int, name: str = "operand") -> None:
-    if type(v) is not int:
-        raise ResidueError(f"{name} {_shown(v)} is not an int")
-    if not 0 <= v < m:
-        raise ResidueError(
-            f"{name} {_shown(v)} out of range for modulus {_shown(m)}")
-
-
 def channel_op(chan: ChannelId, op: str, a: int, b: int) -> int:
     """add/sub/mul of two canonical residues of one channel, by Python's %."""
     if not isinstance(chan, ChannelId):
         raise ParameterError(f"expected a ChannelId, got {_shown(chan)}")
     m = chan.modulus
-    _check_operand(a, m)
-    _check_operand(b, m)
+    _check_residue(a, m, "operand ")
+    _check_residue(b, m, "operand ")
     if op not in CHANNEL_OPS:
         raise ParameterError(f"unknown channel op {_shown(op)}")
     if op == "mul":
@@ -151,7 +143,7 @@ def rotl_mod_pow2_minus1(v: int, k: int, p: int) -> int:
     _check_int(k, "width", 1, MAX_WIDTH)
     _check_int(p, "shift count", 0)
     mask = (1 << k) - 1
-    _check_operand(v, mask, "value")
+    _check_residue(v, mask, "value ")
     p %= k
     return ((v << p) & mask) | (v >> (k - p))
 
@@ -160,6 +152,6 @@ def neg_mod_pow2_minus1(v: int, k: int) -> int:
     """-v mod (2^k - 1) via one's complement; all-ones canonicalizes to 0."""
     _check_int(k, "width", 1, MAX_WIDTH)
     mask = (1 << k) - 1
-    _check_operand(v, mask, "value")
+    _check_residue(v, mask, "value ")
     c = v ^ mask
     return 0 if c == mask else c

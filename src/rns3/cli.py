@@ -15,6 +15,7 @@ import functools
 import itertools
 import operator
 import os
+import re
 import sys
 import time
 from random import Random
@@ -46,13 +47,16 @@ def parse_uint(text: str) -> int:
     try:
         value = int(t, 16) if t.startswith("0x") else int(t, 10)
     except ValueError:
-        if not (t.isascii() and t.isdigit()):
+        # More digits than int() takes: read them as it reads fewer (a sign,
+        # single _ between digits), in chunks as format_decimal writes them.
+        if not re.fullmatch(r"[+-]?[0-9]+(?:_[0-9]+)*", t):
             raise argparse.ArgumentTypeError(f"not an unsigned integer: {text!r}")
-        # More digits than int() takes: read them as format_decimal writes.
+        digits = t.lstrip("+-").replace("_", "")
         value = 0
-        for i in range(0, len(t), DECIMAL_CHUNK_DIGITS):
-            chunk = t[i:i + DECIMAL_CHUNK_DIGITS]
+        for i in range(0, len(digits), DECIMAL_CHUNK_DIGITS):
+            chunk = digits[i:i + DECIMAL_CHUNK_DIGITS]
             value = value * 10 ** len(chunk) + int(chunk)
+        value = -value if t[0] == "-" else value
     if value < 0:
         raise argparse.ArgumentTypeError(f"value must be >= 0: {text!r}")
     return value

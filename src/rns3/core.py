@@ -24,8 +24,8 @@ forward_convert reads its masks and widths from the set, which derives
 them once (see ModuliSet), and builds the vector it returns in place,
 stamped with the set: object.__new__, then one store into each of the
 vector's four slots.  A vector is trusted by its set stamp alone (see
-ResidueVector); any other vector passes _check_origin, then a check of
-each residue in turn.
+ResidueVector); any other vector passes validate_residues, which checks
+its set, then each residue in turn.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from rns3.errors import (OutOfRangeError, ParameterError, ResidueError, _check_int,
-                          _shown)
+                          _check_residue, _shown)
 
 if TYPE_CHECKING:
     from rns3.channels import ChannelId
@@ -173,20 +173,6 @@ _put_r3 = ResidueVector.r3.__set__
 _put_set = ResidueVector._set.__set__
 
 
-def _check_origin(ms: ModuliSet, rv) -> None:
-    """Raise ParameterError unless ms is a ModuliSet, and ResidueError unless
-    rv is a ResidueVector not stamped with a set of another n: the channel
-    ranges of a smaller set nest in a larger one's, unseen by range checks."""
-    if not isinstance(ms, ModuliSet):
-        raise ParameterError(f"expected a ModuliSet, got {_shown(ms)}")
-    if not isinstance(rv, ResidueVector):
-        raise ResidueError(f"expected a ResidueVector, got {_shown(rv)}")
-    stamp = rv._set
-    if stamp is not _UNSTAMPED and stamp.n != ms.n:
-        raise ResidueError(f"the vector was built for the set of n={stamp.n}, "
-                           f"not for n={ms.n}")
-
-
 def make_moduli_set(n: int) -> ModuliSet:
     """The validated moduli set for size parameter 1 <= n <= MAX_N.
 
@@ -232,13 +218,17 @@ def pairwise_coprime(values: list[int]) -> bool:
 def validate_residues(ms: ModuliSet, rv: ResidueVector) -> None:
     """Raise an RnsError unless ms is a ModuliSet and rv a ResidueVector,
     not stamped with a set of another n, whose residues are canonical."""
-    _check_origin(ms, rv)
-    for idx, r, m in ((1, rv.r1, ms.m1), (2, rv.r2, ms.m2), (3, rv.r3, ms.m3)):
-        if type(r) is not int:
-            raise ResidueError(f"R{idx}={_shown(r)} is not an int")
-        if not 0 <= r < m:
-            raise ResidueError(
-                f"R{idx}={_shown(r)} out of range for modulus {_shown(m)}")
+    if not isinstance(ms, ModuliSet):
+        raise ParameterError(f"expected a ModuliSet, got {_shown(ms)}")
+    if not isinstance(rv, ResidueVector):
+        raise ResidueError(f"expected a ResidueVector, got {_shown(rv)}")
+    stamp = rv._set  # the ranges of a smaller set nest in ours, unseen below
+    if stamp is not _UNSTAMPED and stamp.n != ms.n:
+        raise ResidueError(f"the vector was built for the set of n={stamp.n}, "
+                           f"not for n={ms.n}")
+    _check_residue(rv.r1, ms.m1, "R1=")
+    _check_residue(rv.r2, ms.m2, "R2=")
+    _check_residue(rv.r3, ms.m3, "R3=")
 
 
 def forward_convert(ms: ModuliSet, x: int) -> ResidueVector:

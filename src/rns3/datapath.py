@@ -47,30 +47,6 @@ class BitWord:
                 f"value {_shown(self.value)} does not fit in "
                 f"{_shown(self.width)} bits")
 
-    @classmethod
-    def concat(cls, segments: list[BitWord]) -> BitWord:
-        """Join segments MSB-first; zero-width segments are allowed."""
-        value = 0
-        width = 0
-        for seg in segments:
-            if not isinstance(seg, BitWord):
-                raise ParameterError(f"expected a BitWord, got {_shown(seg)}")
-            value = (value << seg.width) | seg.value
-            width += seg.width
-        return cls(value, width)
-
-    @classmethod
-    def ones(cls, width: int) -> BitWord:
-        _check_int(width, "width", 0, MAX_WIDTH)
-        return cls((1 << width) - 1, width)
-
-    @classmethod
-    def zeros(cls, width: int) -> BitWord:
-        return cls(0, width)
-
-    def complement(self) -> BitWord:
-        return BitWord(self.value ^ ((1 << self.width) - 1), self.width)
-
     def to_binary(self) -> str:
         """MSB-first bit string, exactly width characters."""
         return format(self.value, f"0{self.width}b") if self.width else ""

@@ -1,5 +1,6 @@
 """Exception types shared across the library, the value formatting their
-messages use, and the one check of an int argument's type and range."""
+messages use, and the two checks of an int's type and range: one for an
+argument (ParameterError) and one for a residue (ResidueError)."""
 
 
 class RnsError(ValueError):
@@ -43,3 +44,13 @@ def _check_int(value, name: str, lo: int, hi: int | None = None) -> None:
         raise ParameterError(f"{name} must be >= {lo}, got {_shown(value)}")
     if hi is not None and value > hi:
         raise ParameterError(f"{name} must be <= {hi}, got {_shown(value)}")
+
+
+def _check_residue(value, modulus: int, label: str) -> None:
+    """Raise ResidueError unless value is an int, not a bool, in
+    [0, modulus); the message shows it after label, as in R1=5."""
+    if type(value) is not int:
+        raise ResidueError(f"{label}{_shown(value)} is not an int")
+    if not 0 <= value < modulus:
+        raise ResidueError(
+            f"{label}{_shown(value)} out of range for modulus {_shown(modulus)}")

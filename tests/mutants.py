@@ -166,10 +166,6 @@ MUTANTS = [
      '_check_int(self.width, "width", 0)',
      "BitWord(0, 2^70) is built, a word no shift could fill",
      "tests/test_converter.py"),
-    ("BitWord.ones width ceiling", "src/rns3/datapath.py",
-     '_check_int(width, "width", 0, MAX_WIDTH)', '_check_int(width, "width", 0)',
-     "BitWord.ones(2^70) raises OverflowError from a shift, "
-     "not ParameterError", "tests/test_converter.py"),
     ("ChannelId width ceiling", "src/rns3/channels.py",
      '_check_int(self.k, "channel width", 1, MAX_WIDTH)',
      '_check_int(self.k, "channel width", 1)',
@@ -191,7 +187,8 @@ MUTANTS = [
      "costs --table 1 at n = 2^70 raises OverflowError from a shift, "
      "not ParameterError"),
     ("guard type test", "src/rns3/errors.py",
-     "if type(value) is not int:", "if False:",
+     "if type(value) is not int:\n        raise ParameterError",
+     "if False:\n        raise ParameterError",
      "1.5 and True pass as ints, and None and '3' raise TypeError from "
      "the bound compare, not ParameterError",
      "tests/test_core.py::test_every_int_argument_is_guarded"),
@@ -199,6 +196,17 @@ MUTANTS = [
      "if value < lo:", "if value < lo - 1:",
      "every guarded argument admits lo - 1",
      "tests/test_core.py::test_every_int_argument_is_guarded"),
+    ("residue type test", "src/rns3/errors.py",
+     "if type(value) is not int:\n        raise ResidueError",
+     "if False:\n        raise ResidueError",
+     "True and 1.0 pass as residues, and '3' raises TypeError from the "
+     "range compare, not ResidueError",
+     "tests/test_core.py::test_every_residue_check_names_its_value"),
+    ("residue range compare", "src/rns3/errors.py",
+     "if not 0 <= value < modulus:", "if not 0 <= value <= modulus:",
+     "every residue check admits the modulus itself, the all-ones alias "
+     "of zero in a 2^k - 1 channel",
+     "tests/test_core.py::test_every_residue_check_names_its_value"),
     ("guard hi compare", "src/rns3/errors.py",
      "if hi is not None and value > hi:", "if hi is not None and value > hi + 1:",
      "every bounded argument admits hi + 1",
@@ -216,6 +224,11 @@ MUTANTS = [
      "a decimal argument past the int-str limit whose last chunk is short "
      "is read with that chunk's digits too high",
      "tests/test_cli.py::test_parse_uint_beyond_int_str_digit_limit"),
+    ("decimal sign", "src/rns3/cli.py",
+     'value = -value if t[0] == "-" else value', "pass",
+     "a negative decimal argument past the int-str limit is read as its "
+     "magnitude, not refused",
+     "tests/test_cli.py::test_parse_uint_reads_decimal_forms_alike_past_the_digit_limit"),
     ("bench iters ceiling", "src/rns3/cli.py",
      "if args.iters > sys.maxsize:", "if False:",
      "bench --iters above sys.maxsize raises ValueError from islice, "
@@ -243,10 +256,10 @@ MUTANTS = [
     ("verify channel component", "src/rns3/cli.py",
      "got.astuple()[i] !=", "got.astuple()[0] !=",
      "verify's channel cases read channel 1 whatever the channel"),
-    ("_check_origin other n", "src/rns3/core.py",
+    ("validate_residues other n", "src/rns3/core.py",
      "if stamp is not _UNSTAMPED and stamp.n != ms.n:", "if False:",
      "a vector from a smaller set passes, its ranges nested in ours"),
-    ("_check_origin vector type", "src/rns3/core.py",
+    ("validate_residues vector type", "src/rns3/core.py",
      "if not isinstance(rv, ResidueVector):", "if False:",
      "a non-vector raises AttributeError, not ResidueError"),
 ]

@@ -1,5 +1,6 @@
 """Command-line contract: output formats, exit codes, determinism."""
 
+import argparse
 import json
 import operator
 import os
@@ -421,6 +422,32 @@ def test_parse_uint_beyond_int_str_digit_limit():
     rng = Random(4501)
     text = "".join(str(rng.randrange(10)) for _ in range(4501))
     assert cli.parse_uint(text) == _from_digits(text)
+
+
+# Spellings of a string of digits, each {} a piece of it, and what
+# parse_uint reads from each: their value (None), or the start of its error.
+DECIMAL_FORMS = {
+    "+{}": None, "{}_{}": None, "+{}_{}_{}": None,
+    "-{}": "value must be >= 0", "{}__{}": "not an unsigned integer",
+    "{}_": "not an unsigned integer", "_{}": "not an unsigned integer",
+    "+-{}": "not an unsigned integer",
+}
+
+
+@pytest.mark.parametrize("form, error", DECIMAL_FORMS.items(), ids=DECIMAL_FORMS)
+def test_parse_uint_reads_decimal_forms_alike_past_the_digit_limit(form, error):
+    # At 12 digits int(t, 10) reads the text; at 4501 parse_uint must read
+    # it alike, in chunks.
+    rng = Random(4501)
+    for size in (12, 4501):
+        digits = "".join(str(rng.randrange(1, 10)) for _ in range(size))
+        cut = [size * i // form.count("{}") for i in range(form.count("{}") + 1)]
+        text = form.format(*(digits[a:b] for a, b in zip(cut, cut[1:])))
+        if error is None:
+            assert cli.parse_uint(text) == _from_digits(digits)
+        else:
+            with pytest.raises(argparse.ArgumentTypeError, match=f"^{error}: "):
+                cli.parse_uint(text)
 
 
 def test_encode_beyond_int_str_digit_limit(capsys):

@@ -25,6 +25,7 @@ from rns3.core import (
     forward_convert,
     make_moduli_set,
 )
+from rns3.costs import MAX_SIZE
 from rns3.errors import ParameterError, ResidueError
 
 
@@ -51,33 +52,19 @@ def test_bitword_validation():
 def test_bitword_widths_above_the_ceiling_are_refused(width):
     # Checked before any shift: 2^70 would overflow, 2^40 take 128 GiB.
     message = f"^width must be <= {MAX_WIDTH}, got {width}$"
-    for build in (lambda: BitWord(0, width), lambda: BitWord.ones(width),
-                  lambda: BitWord.zeros(width)):
-        with pytest.raises(ParameterError, match=message):
-            build()
+    with pytest.raises(ParameterError, match=message):
+        BitWord(0, width)
 
 
 def test_the_width_ceiling_admits_every_word_the_library_builds():
-    assert BitWord.ones(MAX_WIDTH).complement() == BitWord.zeros(MAX_WIDTH)
+    # The cost model's widest summand is 4n bits at n = MAX_SIZE.
+    assert 4 * MAX_SIZE == MAX_WIDTH
+    assert (datapath.merged_summand(MAX_SIZE, 0, 0)
+            == BitWord((1 << MAX_WIDTH) - 1, MAX_WIDTH))
     # decode_trace's widest word is the 5n-bit X of the largest set.
     ms = make_moduli_set(MAX_N)
     trace = decode_trace(ms, forward_convert(ms, ms.M - 1))
     assert trace.x == BitWord(ms.M - 1, 5 * MAX_N)
-
-
-def test_bitword_concat():
-    w = BitWord.concat([BitWord(0b11, 2), BitWord(0b10000, 5), BitWord(1, 1)])
-    assert (w.value, w.width) == (0b11100001, 8)
-    # zero-width segments disappear
-    w2 = BitWord.concat([BitWord(0, 0), BitWord(0b101, 3), BitWord(0, 0)])
-    assert (w2.value, w2.width) == (0b101, 3)
-    assert BitWord.concat([]) == BitWord(0, 0)
-
-
-def test_bitword_complement_rotl_bits():
-    w = BitWord(0b0110, 4)
-    assert w.complement() == BitWord(0b1001, 4)
-    assert BitWord(0, 0).complement() == BitWord(0, 0)
 
 
 def test_bitword_to_binary():
@@ -114,6 +101,45 @@ def test_prepare_operands_rejects_bad_residues():
     ms = make_moduli_set(2)
     with pytest.raises(ResidueError):
         prepare_operands(ms, ResidueVector(0, 15, 0))
+
+
+def test_operand_lemmas_are_proved_for_every_n_up_to_64_and_at_1024_and_4096():
+    """The four operand-value lemmas and the merge identity, proved per n.
+
+    Each summand layout is wiring only: residue bits, complemented residue
+    bits and constants.  So its value is affine in the residue bits,
+    L(r) = L(0) + the sum over the set bits j of r of (L(2^j) - L(0)), and
+    a lemma L(r) == c * r (mod 2^(4n) - 1) holds for every residue iff it
+    holds at r = 0 and at each unit residue 2^j: j < n for r1, j < 2n for
+    r2 and j <= 2n for r3, each 2^j a canonical residue.  merged_summand
+    is affine in r1 and r3 together, so the merge identity needs the same
+    points for each residue with the other at 0.  This test does not check
+    affinity itself: criterion 4's exhaustive sweep at n <= 3 would catch
+    a layout that stopped being wiring.
+    """
+    for n in (*range(1, 65), 1024, 4096):
+        modw = (1 << 4 * n) - 1
+        units = [1 << j for j in range(2 * n + 1)]  # r1 takes n, r2 2n
+
+        def lemma(layout, coeff, bits):
+            """{r: L(r)} at 0 and the units, each checked against coeff * r."""
+            values = {r: layout(n, r).value for r in (0, *units[:bits])}
+            assert values[0] % modw == 0, (layout.__name__, n, 0)
+            want = coeff % modw  # coeff * r at r = 1, doubled per unit
+            for r in units[:bits]:
+                assert values[r] % modw == want, (layout.__name__, n, r)
+                want = 2 * want % modw
+            return values
+
+        s1 = lemma(datapath.r1_summand, -(1 << 3 * n), n)
+        lemma(datapath.r2_summand, (1 << 3 * n - 1) + (1 << n - 1), 2 * n)
+        lemma(datapath.r3_rot_summand, 1 << 3 * n - 1, 2 * n + 1)
+        # With the lemma above, the r3 pair sums to (2^(3n-1) - 2^(n-1))*r3.
+        s32 = lemma(datapath.r3_comp_summand, -(1 << n - 1), 2 * n + 1)
+        for r1, r3 in ((0, 0), *((r, 0) for r in units[:n]),
+                       *((0, r) for r in units)):
+            merged = datapath.merged_summand(n, r1, r3).value
+            assert (merged - s1[r1] - s32[r3]) % modw == 0, (n, r1, r3)
 
 
 def test_csa_eac_examples():

@@ -19,6 +19,7 @@ from rns3 import core
 from rns3.channels import (
     ChannelId,
     ChannelKind,
+    channel_op,
     neg_mod_pow2_minus1,
     reduce_mod,
     rns_op,
@@ -216,9 +217,6 @@ WRONG_TYPED_INPUTS = {
     "pairwise_coprime-bool": lambda: pairwise_coprime([True, 3]),
     "pairwise_coprime-float": lambda: pairwise_coprime([1.5, 3]),
     "pairwise_coprime-int": lambda: pairwise_coprime(5),
-    "BitWord.concat-int": lambda: BitWord.concat([1]),
-    "BitWord.ones-negative": lambda: BitWord.ones(-1),
-    "BitWord.ones-str": lambda: BitWord.ones("3"),
     "emit_table-int": lambda: emit_table(5),
 }
 
@@ -288,7 +286,6 @@ INT_GUARDED = {
     "neg_mod_pow2_minus1": (lambda k: neg_mod_pow2_minus1(0, k), 1, core.MAX_WIDTH),
     "BitWord-value": (lambda v: BitWord(v, 8), 0, None),
     "BitWord-width": (lambda w: BitWord(0, w), 0, core.MAX_WIDTH),
-    "BitWord.ones": (BitWord.ones, 0, core.MAX_WIDTH),
     "ceil_log2": (ceil_log2, 1, None),
     "ConverterDesign": (lambda s: ConverterDesign(Design.OURS, s), 1, MAX_SIZE),
     "channel_adder_delay": (lambda n: channel_adder_delay(ChannelAdder.MOD_HIASAT, n),
@@ -310,6 +307,56 @@ def test_every_int_argument_is_guarded(call, lo, hi):
         assert str(info.value).endswith(f", got {_shown(value)}")
     for value in (lo,) if hi is None else (lo, hi):
         call(value)
+
+
+# Every call site of the residue check, each given a non-int and an
+# out-of-range value, with the exact ResidueError text it must raise: the
+# three residues of validate_residues, channel_op's two operands in the
+# channel 2^4 - 1, and the value of each 2^k - 1 bit trick at k = 4.
+C15 = ChannelId(ChannelKind.POW2_MINUS1, 4)
+RESIDUE_CHECKED = {
+    "validate_residues-R1-type": (
+        lambda: validate_residues(make_moduli_set(2), ResidueVector(1.0, 2, 3)),
+        "R1=1.0 is not an int"),
+    "validate_residues-R1-range": (
+        lambda: validate_residues(make_moduli_set(2), ResidueVector(4, 2, 3)),
+        "R1=4 out of range for modulus 4"),
+    "validate_residues-R2-type": (
+        lambda: validate_residues(make_moduli_set(2), ResidueVector(1, True, 3)),
+        "R2=True is not an int"),
+    "validate_residues-R2-range": (
+        lambda: validate_residues(make_moduli_set(2), ResidueVector(1, 15, 3)),
+        "R2=15 out of range for modulus 15"),
+    "validate_residues-R3-type": (
+        lambda: validate_residues(make_moduli_set(2), ResidueVector(1, 2, "3")),
+        "R3='3' is not an int"),
+    "validate_residues-R3-range": (
+        lambda: validate_residues(make_moduli_set(2), ResidueVector(1, 2, -1)),
+        "R3=-1 out of range for modulus 17"),
+    "channel_op-a-type": (lambda: channel_op(C15, "add", 2.0, 3),
+                          "operand 2.0 is not an int"),
+    "channel_op-a-range": (lambda: channel_op(C15, "add", 15, 0),
+                           "operand 15 out of range for modulus 15"),
+    "channel_op-b-type": (lambda: channel_op(C15, "mul", 2, False),
+                          "operand False is not an int"),
+    "channel_op-b-range": (lambda: channel_op(C15, "add", 0, -1),
+                           "operand -1 out of range for modulus 15"),
+    "rotl_mod_pow2_minus1-type": (lambda: rotl_mod_pow2_minus1(True, 4, 1),
+                                  "value True is not an int"),
+    "rotl_mod_pow2_minus1-range": (lambda: rotl_mod_pow2_minus1(15, 4, 1),
+                                   "value 15 out of range for modulus 15"),
+    "neg_mod_pow2_minus1-type": (lambda: neg_mod_pow2_minus1(2.0, 4),
+                                 "value 2.0 is not an int"),
+    "neg_mod_pow2_minus1-range": (lambda: neg_mod_pow2_minus1(15, 4),
+                                  "value 15 out of range for modulus 15"),
+}
+
+
+@pytest.mark.parametrize("call, message", RESIDUE_CHECKED.values(), ids=RESIDUE_CHECKED)
+def test_every_residue_check_names_its_value(call, message):
+    with pytest.raises(RnsError) as info:
+        call()
+    assert (info.type, str(info.value)) == (ResidueError, message)
 
 
 def test_forward_convert_examples():
