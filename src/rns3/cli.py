@@ -34,12 +34,23 @@ EXHAUSTIVE_MAX_N = 3
 # under the interpreter's int-str limit (4300 digits by default).
 DECIMAL_CHUNK_DIGITS = 1000
 
+# Longest argument that a usage error repeats; a longer one is shown by its
+# length, as errors._shown shows an int too long to write.
+SHOWN_TEXT_CHARS = 100
+
 # Failures listed per verify check, smallest first.
 SHOWN_FAILURES = 10
 
 # Timed passes per bench function; the fastest is reported, since load
 # from other processes only ever slows a pass down.
 BENCH_REPEATS = 5
+
+
+def _shown_text(text: str) -> str:
+    """repr(text) for a usage error, or its length if it is too long."""
+    if len(text) > SHOWN_TEXT_CHARS:
+        return f"<{len(text)}-character text>"
+    return repr(text)
 
 
 def parse_uint(text: str) -> int:
@@ -50,7 +61,8 @@ def parse_uint(text: str) -> int:
         # More digits than int() takes: read them as it reads fewer (a sign,
         # single _ between digits), in chunks as format_decimal writes them.
         if not re.fullmatch(r"[+-]?[0-9]+(?:_[0-9]+)*", t):
-            raise argparse.ArgumentTypeError(f"not an unsigned integer: {text!r}")
+            raise argparse.ArgumentTypeError(
+                f"not an unsigned integer: {_shown_text(text)}")
         digits = t.lstrip("+-").replace("_", "")
         value = 0
         for i in range(0, len(digits), DECIMAL_CHUNK_DIGITS):
@@ -58,14 +70,14 @@ def parse_uint(text: str) -> int:
             value = value * 10 ** len(chunk) + int(chunk)
         value = -value if t[0] == "-" else value
     if value < 0:
-        raise argparse.ArgumentTypeError(f"value must be >= 0: {text!r}")
+        raise argparse.ArgumentTypeError(f"value must be >= 0: {_shown_text(text)}")
     return value
 
 
 def parse_positive(text: str) -> int:
     value = parse_uint(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"value must be >= 1: {text!r}")
+        raise argparse.ArgumentTypeError(f"value must be >= 1: {_shown_text(text)}")
     return value
 
 
@@ -176,11 +188,17 @@ def _fold_mod_mersenne(v, k):
     return 0 if v == mask else v
 
 
-def _reduce_mod_M(ms, v):
-    """v mod M = 2^n * (2^(4n) - 1) for v >= 0: the low n bits stay, the
-    rest is folded mod 2^(4n) - 1."""
-    n = ms.n
-    return (v & ((1 << n) - 1)) | _fold_mod_mersenne(v >> n, 4 * n) << n
+def _residues(n, v):
+    """(v mod 2^n, v mod 2^(2n) - 1, v mod 2^(2n) + 1) for v >= 0.  Both
+    2n-bit moduli divide 2^(4n) - 1, so v is first folded to 4n bits; its
+    2n-bit halves then reduce as lo + hi (2^(2n) = 1 mod 2^(2n) - 1) and
+    as lo - hi (2^(2n) = -1 mod 2^(2n) + 1)."""
+    k = 2 * n
+    f = _fold_mod_mersenne(v, 2 * k)
+    hi, lo = f >> k, f & ((1 << k) - 1)
+    r3 = lo - hi
+    return (v & ((1 << n) - 1), _fold_mod_mersenne(lo + hi, k),
+            r3 + (1 << k) + 1 if r3 < 0 else r3)
 
 
 def _lemma_fails(ms, triple):
@@ -211,10 +229,22 @@ def _lemma_fails(ms, triple):
 _REFERENCE = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
+def _channel_results(n, op, u, v):
+    """x op y in each channel, from the residues u and v of x and y: u_i op
+    v_i, plus m_i for sub so that it is never negative, reduced by
+    _residues.  The moduli are built from n, so that the reference reads
+    nothing from the moduli set it checks."""
+    f = _REFERENCE[op]
+    pads = (1 << n, (1 << 2 * n) - 1, (1 << 2 * n) + 1) if op == "sub" else (0, 0, 0)
+    return tuple(_residues(n, f(s, t) + pad)[i]
+                 for i, (s, t, pad) in enumerate(zip(u, v, pads)))
+
+
 def _homomorphism_fails(ms, case):
     """rns_op on an (i, op, a, b) case, a and b in channel i and 0 in the
-    others, or under every op on an (X, Y) pair, against the big-integer
-    result reduced modulo m_i or M."""
+    others, against the big-integer result reduced modulo m_i; or under
+    every op on an (X, Y) pair, against _channel_results on the checker's
+    own residues of X and Y."""
     if len(case) == 4:
         i, op, a, b = case
         u, v = [0, 0, 0], [0, 0, 0]
@@ -224,12 +254,11 @@ def _homomorphism_fails(ms, case):
             yield a, b, op, ms.channels()[i].kind.value
         return
     x, y = case
+    n = ms.n
     a, b = core.forward_convert(ms, x), core.forward_convert(ms, y)
+    u, v = _residues(n, x), _residues(n, y)
     for op in channels.CHANNEL_OPS:
-        # sub as x - y + M, so the value reduced is never negative.
-        v = x - y + ms.M if op == "sub" else _REFERENCE[op](x, y)
-        want = core.forward_convert(ms, _reduce_mod_M(ms, v))
-        if channels.rns_op(ms, op, a, b) != want:
+        if channels.rns_op(ms, op, a, b).astuple() != _channel_results(n, op, u, v):
             yield x, y, op
 
 

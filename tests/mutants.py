@@ -165,7 +165,7 @@ MUTANTS = [
      '_check_int(self.width, "width", 0, MAX_WIDTH)',
      '_check_int(self.width, "width", 0)',
      "BitWord(0, 2^70) is built, a word no shift could fill",
-     "tests/test_converter.py"),
+     "tests/test_core.py::test_every_int_argument_is_guarded"),
     ("ChannelId width ceiling", "src/rns3/channels.py",
      '_check_int(self.k, "channel width", 1, MAX_WIDTH)',
      '_check_int(self.k, "channel width", 1)',
@@ -250,9 +250,18 @@ MUTANTS = [
     ("verify fold all-ones -> 0", "src/rns3/cli.py",
      "return 0 if v == mask else v", "return v",
      "the checker's reference keeps the all-ones alias of zero"),
-    ("verify mod M low bits", "src/rns3/cli.py",
-     "(v & ((1 << n) - 1))", "(v & (1 << n))",
-     "the checker's mod M reference drops the low n bits"),
+    ("verify r1 low bits", "src/rns3/cli.py",
+     "(v & ((1 << n) - 1),", "(v & (1 << n),",
+     "the checker's mod 2^n residue keeps bit n, not the bits below it",
+     "tests/test_cli.py::test_checker_folds_match_remainder_exhaustive"),
+    ("verify r3 +m3", "src/rns3/cli.py",
+     "r3 + (1 << k) + 1 if r3 < 0 else r3", "r3",
+     "the checker's mod 2^(2n) + 1 residue stays negative when hi > lo",
+     "tests/test_cli.py::test_checker_folds_match_remainder_exhaustive"),
+    ("verify sub pad modulus", "src/rns3/cli.py",
+     "(1 << 2 * n) + 1) if op", "(1 << 2 * n) - 1) if op",
+     "the pair reference pads sub in channel 3 by m2, off by 2 mod m3",
+     "tests/test_cli.py::test_pair_reference_is_the_integer_result"),
     ("verify channel component", "src/rns3/cli.py",
      "got.astuple()[i] !=", "got.astuple()[0] !=",
      "verify's channel cases read channel 1 whatever the channel"),
@@ -271,6 +280,10 @@ EQUIVALENT = [
      "t2 = a2 - b2 + m2", "t2 = a2 - b2",
      "for -m2 < t < 0, (t & m2) + (t >> w) is t + 2^w - 1 = t + m2, "
      "since t >> w is -1: the fold adds the modulus itself"),
+    ("verify sub without pad", "src/rns3/cli.py",
+     "f(s, t) + pad", "f(s, t)",
+     "for -m_i < t < 0, t & (2^n - 1) is t mod 2^n, and the fold leaves t, "
+     "so hi = -1, lo = t + 2^(2n), lo + hi = t + m2 and lo - hi = t + m3"),
     ("census S31 inverters", "src/rns3/costs.py",
      "for z, w in zip(zero, wires))", "for z, w in zip(zero[:2], wires[:2]))",
      "S31 reads 0 at all-zero residues, so it adds no inverter"),

@@ -107,8 +107,8 @@ def test_checker_folds_match_remainder_exhaustive(n):
     vs = range(M * M)
     assert all(map(operator.eq, map(cli._fold_mod_mersenne, vs, repeat(4 * n)),
                    map(operator.mod, vs, repeat(W))))
-    assert all(map(operator.eq, map(cli._reduce_mod_M, repeat(ms), vs),
-                   map(operator.mod, vs, repeat(M))))
+    assert all(map(operator.eq, map(cli._residues, repeat(n), vs),
+                   zip(*(map(operator.mod, vs, repeat(m)) for m in ms.moduli()))))
 
 
 @st.composite
@@ -125,22 +125,48 @@ def test_checker_folds_match_remainder(case):
     ms, v = case
     n, M = ms.n, ms.M
     W = (1 << 4 * n) - 1
-    # The edges are checked on every example, next to the drawn value.
-    for u in (0, M - 1, M, (M - 1) ** 2, W, W + 1, W * W, v):
+    # The edges are checked on every example, next to the drawn value;
+    # (m2 - 1)^2 and W + 1 = 2^(4n) = (m3 - 1)^2 are the largest products
+    # of two residues in the 2n-bit channels.
+    for u in (0, M - 1, M, (M - 1) ** 2, W, W + 1, W * W, (ms.m2 - 1) ** 2, v):
         assert cli._fold_mod_mersenne(u, 4 * n) == u % W
-        assert cli._reduce_mod_M(ms, u) == u % M
+        assert cli._residues(n, u) == tuple(u % m for m in ms.moduli())
 
 
-def test_verify_catches_wrong_product_at_large_n(capsys, monkeypatch):
+@st.composite
+def set_and_pair(draw):
+    """A moduli set with n up to 4096 and two values, each 0, M - 1 or
+    drawn from [0, M)."""
+    ms = core.make_moduli_set(draw(st.one_of(st.integers(1, 8),
+                                             st.integers(1, 4096))))
+    value = st.one_of(st.just(0), st.just(ms.M - 1), st.integers(0, ms.M - 1))
+    return ms, draw(value), draw(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(set_and_pair())
+def test_pair_reference_is_the_integer_result(case):
+    # The pair check's channel-wise reference, against x op y reduced by
+    # Python's remainder (sub as x - y + M, so it is never negative).
+    ms, x, y = case
+    u, v = cli._residues(ms.n, x), cli._residues(ms.n, y)
+    for op, z in (("add", x + y), ("sub", x - y + ms.M), ("mul", x * y)):
+        assert cli._channel_results(ms.n, op, u, v) == tuple(z % m for m in ms.moduli())
+
+
+@pytest.mark.parametrize("channel", [0, 1, 2])
+def test_verify_catches_wrong_product_at_large_n(capsys, monkeypatch, channel):
     rns_op = channels.rns_op
 
-    def r2_off_by_one_for_mul(ms, op, a, b):
+    def off_by_one_for_mul(ms, op, a, b):
         rv = rns_op(ms, op, a, b)
         if op != "mul":
             return rv
-        return core.ResidueVector(rv.r1, (rv.r2 + 1) % ms.m2, rv.r3)
+        r = list(rv.astuple())
+        r[channel] = (r[channel] + 1) % ms.moduli()[channel]
+        return core.ResidueVector(*r)
 
-    monkeypatch.setattr(channels, "rns_op", r2_off_by_one_for_mul)
+    monkeypatch.setattr(channels, "rns_op", off_by_one_for_mul)
     code, out, _ = run(capsys, "verify", "--n", "1024", "--random",
                        "--samples", "5")
     assert code == 1
