@@ -206,11 +206,11 @@ def _lemma_fails(ms, triple):
     r1, r2, r3 = triple
     n = ms.n
     w = 4 * n
-    s1 = converter.r1_summand(n, r1).value
-    s2 = converter.r2_summand(n, r2).value
-    s31 = converter.r3_rot_summand(n, r3).value
-    s32 = converter.r3_comp_summand(n, r3).value
-    s1p = converter.merged_summand(n, r1, r3).value
+    s1 = converter.r1_summand(n, r1)
+    s2 = converter.r2_summand(n, r2)
+    s31 = converter.r3_rot_summand(n, r3)
+    s32 = converter.r3_comp_summand(n, r3)
+    s1p = converter.merged_summand(n, r1, r3)
 
     def same(u, v):
         return _fold_mod_mersenne(u, w) == _fold_mod_mersenne(v, w)

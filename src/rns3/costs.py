@@ -128,9 +128,8 @@ def _counted_bill(n: int) -> HwBill:
     pair beside a constant 0, an XNOR/OR pair beside a constant 1.
     """
     def summands(r1, r2, r3):
-        return (converter.merged_summand(n, r1, r3).value,
-                converter.r2_summand(n, r2).value,
-                converter.r3_rot_summand(n, r3).value)
+        return (converter.merged_summand(n, r1, r3),
+                converter.r2_summand(n, r2), converter.r3_rot_summand(n, r3))
 
     zero = summands(0, 0, 0)
     full = summands((1 << n) - 1, (1 << 2 * n) - 1, (1 << 2 * n + 1) - 1)

@@ -19,8 +19,8 @@ single carry-save level suffices for all three channels.
 
 Each layout function lists its summand's segments as (bits, width)
 pairs in the order drawn above, bits[hi..lo] as bits >> lo, and joins
-them into one word; these functions are the one reference for this
-wiring.
+them into one int, the one reference for this wiring.  BitWord holds
+only the words that prepare_operands, csa_eac and decode_trace return.
 """
 
 from __future__ import annotations
@@ -52,23 +52,22 @@ class BitWord:
         return format(self.value, f"0{self.width}b") if self.width else ""
 
 
-def _wired(*segments: tuple[int, int]) -> BitWord:
+def _wired(*segments: tuple[int, int]) -> int:
     """One word from (bits, width) segments, MSB first: each segment keeps
     the low width bits of its bits, so ~r is r complemented and -1 is
     ones."""
-    value = width = 0
+    value = 0
     for bits, w in segments:
         value = value << w | bits & ((1 << w) - 1)
-        width += w
-    return BitWord(value, width)
+    return value
 
 
-def r1_summand(n: int, r1: int) -> BitWord:
+def r1_summand(n: int, r1: int) -> int:
     """Complemented r1 over an all-ones tail: -2^(3n)*r1 mod 2^(4n)-1."""
     return _wired((~r1, n), (-1, 3 * n))
 
 
-def r2_summand(n: int, r2: int) -> BitWord:
+def r2_summand(n: int, r2: int) -> int:
     """Both rotations of r2 in one word: (2^(3n-1) + 2^(n-1)) * r2.
 
     The two rotated copies occupy disjoint bit positions, so their sum is
@@ -77,17 +76,17 @@ def r2_summand(n: int, r2: int) -> BitWord:
     return _wired((r2, n + 1), (r2, 2 * n), (r2 >> n + 1, n - 1))
 
 
-def r3_rot_summand(n: int, r3: int) -> BitWord:
+def r3_rot_summand(n: int, r3: int) -> int:
     """r3 rotated left by 3n-1: +2^(3n-1)*r3 mod 2^(4n)-1."""
     return _wired((r3, n + 1), (0, 2 * n - 1), (r3 >> n + 1, n))
 
 
-def r3_comp_summand(n: int, r3: int) -> BitWord:
+def r3_comp_summand(n: int, r3: int) -> int:
     """Complemented, rotated r3 between ones fillers: -2^(n-1)*r3."""
     return _wired((-1, n), (~r3, 2 * n + 1), (-1, n - 1))
 
 
-def merged_summand(n: int, r1: int, r3: int) -> BitWord:
+def merged_summand(n: int, r1: int, r3: int) -> int:
     """r1_summand and r3_comp_summand folded into a single word.
 
     The ones tail of the first summand and the ones fillers of the second
@@ -113,9 +112,10 @@ class OperandSet:
 def prepare_operands(ms: ModuliSet, rv: ResidueVector) -> OperandSet:
     """Assemble the three summands; the fourth collapses to all-ones == 0."""
     validate_residues(ms, rv)
-    n = ms.n
-    return OperandSet(merged_summand(n, rv.r1, rv.r3), r2_summand(n, rv.r2),
-                      r3_rot_summand(n, rv.r3))
+    n, w = ms.n, ms.word_bits
+    return OperandSet(BitWord(merged_summand(n, rv.r1, rv.r3), w),
+                      BitWord(r2_summand(n, rv.r2), w),
+                      BitWord(r3_rot_summand(n, rv.r3), w))
 
 
 def csa_eac(a: BitWord, b: BitWord, c: BitWord) -> tuple[BitWord, BitWord]:

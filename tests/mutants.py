@@ -19,8 +19,9 @@ exits 1 unless that run passes, so a kill counts only against a suite
 that passes on the clean tree.  A mutant is killed when pytest fails.
 The script exits 1 if any mutant survives,
 if any row's text (EQUIVALENT rows included) does not occur exactly
-once, or if a row names a test that its file does not define, so the
-table keeps pace with the code and the tests.
+once, or if a row names a test that its file does not define (or a
+parametrized case, test[id], whose id it does not quote), so the table
+keeps pace with the code and the tests.
 
 Run every row from the repository root:
 
@@ -134,6 +135,11 @@ MUTANTS = [
     ("reverse_convert S2 wiring", "src/rns3/converter.py",
      "| (r2 << sn_m1) |", "| (r2 << sn_m1 + 1) |",
      "the middle copy of r2 is wired one bit too high"),
+    ("reverse_convert S2 low copy", "src/rns3/converter.py",
+     "| (r2 >> sn_p1)", "| (r2 >> ms.n)",
+     "the low copy of r2 keeps bit n, one bit too many",
+     "tests/test_converter.py::"
+     "test_decoder_is_proved_for_every_n_up_to_256_and_at_1024_and_4096"),
     ("csa_eac carry wrap", "src/rns3/datapath.py",
      "BitWord((carry & mask) | (carry >> w), w)", "BitWord(carry & mask, w)",
      "the staged CSA drops the carry out of the MSB",
@@ -211,6 +217,13 @@ MUTANTS = [
      "if hi is not None and value > hi:", "if hi is not None and value > hi + 1:",
      "every bounded argument admits hi + 1",
      "tests/test_core.py::test_every_int_argument_is_guarded"),
+    ("census pair polarity", "src/rns3/costs.py",
+     "xor_and_pairs=(two & ~ones).bit_count(),\n"
+     "                  xnor_or_pairs=(two & ones).bit_count(),",
+     "xor_and_pairs=(two & ones).bit_count(),\n"
+     "                  xnor_or_pairs=(two & ~ones).bit_count(),",
+     "a two-wire column beside a constant 1 is billed an XOR/AND pair, "
+     "one beside a 0 an XNOR/OR pair"),
     ("channel delay table checks n first", "src/rns3/costs.py",
      "delay = channel_adder_delay(kind, n)  # checks n before str(n)\n"
      "        cells.append([label, str(n), str(delay)])",
@@ -262,6 +275,22 @@ MUTANTS = [
      "(1 << 2 * n) + 1) if op", "(1 << 2 * n) - 1) if op",
      "the pair reference pads sub in channel 3 by m2, off by 2 mod m3",
      "tests/test_cli.py::test_pair_reference_is_the_integer_result"),
+    ("verify lemma S1 clause", "src/rns3/cli.py",
+     "same(s1, ((1 << w) - 1) - (r1 << 3 * n))", "True",
+     "verify's operand check passes an S1 word off -2^(3n)*r1",
+     "tests/test_cli.py::test_verify_catches_wrong_operand_word_at_large_n[s1]"),
+    ("verify lemma S2 clause", "src/rns3/cli.py",
+     "same(s2, (r2 << 3 * n - 1) + (r2 << n - 1))", "True",
+     "verify's operand check passes an S2 word off its coefficient product",
+     "tests/test_cli.py::test_verify_catches_wrong_operand_word_at_large_n[s2]"),
+    ("verify lemma S31 + S32 clause", "src/rns3/cli.py",
+     "same(s31 + s32, (r3 << 3 * n - 1) - (r3 << n - 1))", "True",
+     "verify's operand check passes an r3 pair off its coefficient product",
+     "tests/test_cli.py::test_verify_catches_wrong_operand_word_at_large_n[s31_s32]"),
+    ("verify lemma merge clause", "src/rns3/cli.py",
+     "same(s1 + s32, s1p)", "True",
+     "verify's operand check passes an S1' that is not S1 + S32",
+     "tests/test_cli.py::test_verify_catches_wrong_operand_word_at_large_n[merge]"),
     ("verify channel component", "src/rns3/cli.py",
      "got.astuple()[i] !=", "got.astuple()[0] !=",
      "verify's channel cases read channel 1 whatever the channel"),
@@ -292,7 +321,8 @@ EQUIVALENT = [
 
 def check_table() -> list[str]:
     """A complaint for each row whose text does not occur exactly once, and
-    for each row that names a test its file does not define: pytest exits
+    for each row that names a test its file does not define, or a
+    parametrized case whose id the file does not quote: pytest exits
     non-zero on an unknown node id, which would count as a kill."""
     bad = []
     for label, path, text, *_ in MUTANTS + EQUIVALENT:
@@ -301,10 +331,13 @@ def check_table() -> list[str]:
             bad.append(f"{label}: text occurs {count} times in {path}")
     for label, *_, first in (row for row in MUTANTS if len(row) == 6):
         path, _, test = first.partition("::")
+        test, _, case = test.partition("[")
         source = ROOT / path
-        if test and not (source.is_file()
-                         and f"def {test}(" in source.read_text()):
+        text = source.read_text() if source.is_file() else ""
+        if test and f"def {test}(" not in text:
             bad.append(f"{label}: {path} defines no {test}")
+        elif case and f'"{case[:-1]}"' not in text:
+            bad.append(f"{label}: {path} quotes no case id {case[:-1]}")
     return bad
 
 

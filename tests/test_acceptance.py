@@ -116,21 +116,21 @@ def test_criterion_4_operand_value_lemmas():
             coeff2 = (1 << (3 * n - 1)) + (1 << (n - 1))
             coeff3 = (1 << (3 * n - 1)) - (1 << (n - 1))
             for r1 in range(ms.m1):
-                assert (r1_summand(n, r1).value % modw
+                assert (r1_summand(n, r1) % modw
                         == (-(1 << 3 * n) * r1) % modw)
             for r2 in range(ms.m2):
-                assert r2_summand(n, r2).value % modw == coeff2 * r2 % modw
+                assert r2_summand(n, r2) % modw == coeff2 * r2 % modw
             for r3 in range(ms.m3):
-                rot = r3_rot_summand(n, r3).value
-                comp = r3_comp_summand(n, r3).value
+                rot = r3_rot_summand(n, r3)
+                comp = r3_comp_summand(n, r3)
                 assert rot % modw == (1 << 3 * n - 1) * r3 % modw
                 assert (rot + comp) % modw == coeff3 * r3 % modw
             for r1 in range(ms.m1):
-                s1 = r1_summand(n, r1).value
+                s1 = r1_summand(n, r1)
                 for r3 in range(ms.m3):
-                    s32 = r3_comp_summand(n, r3).value
+                    s32 = r3_comp_summand(n, r3)
                     assert ((s1 + s32) % modw
-                            == merged_summand(n, r1, r3).value % modw)
+                            == merged_summand(n, r1, r3) % modw)
 
 
 def test_criterion_5_reconstruction_weights():

@@ -179,10 +179,25 @@ def test_verify_catches_wrong_product_at_large_n(capsys, monkeypatch, channel):
     assert lines[4:] == ["checked 5 values, 5 failures"]
 
 
-def test_verify_catches_wrong_operand_word_at_large_n(capsys, monkeypatch):
-    r2_summand = converter.r2_summand
-    monkeypatch.setattr(converter, "r2_summand", lambda n, r2: converter.BitWord(
-        r2_summand(n, r2).value ^ 1, 4 * n))
+# Per lemma clause of verify's operand check, the layouts to miswire and
+# the bit of each to flip, -1 for the top bit 4n - 1: each fault breaks
+# that clause alone.  S1 and S1' flip the same ~r1 bit, so the merge
+# S1 + S32 == S1' still holds.
+OPERAND_FAULTS = {
+    "s2": (("r2_summand",), 0),
+    "s31_s32": (("r3_rot_summand",), 0),
+    "merge": (("merged_summand",), 0),
+    "s1": (("r1_summand", "merged_summand"), -1),
+}
+
+
+@pytest.mark.parametrize("layouts, bit", OPERAND_FAULTS.values(),
+                         ids=OPERAND_FAULTS)
+def test_verify_catches_wrong_operand_word_at_large_n(capsys, monkeypatch,
+                                                      layouts, bit):
+    for name in layouts:
+        monkeypatch.setattr(converter, name, lambda n, *r, real=getattr(
+            converter, name): real(n, *r) ^ 1 << bit % (4 * n))
     code, out, _ = run(capsys, "verify", "--n", "1024", "--random",
                        "--samples", "5")
     assert code == 1
@@ -194,10 +209,30 @@ def test_verify_catches_wrong_operand_word_at_large_n(capsys, monkeypatch):
     assert lines[4:] == ["checked 5 values, 5 failures"]
 
 
+@pytest.mark.parametrize("argv, words", [
+    ("verify --n 16 --random --samples 40 --seed 1", 0),
+    ("decode --n 16 --trace 5 6 7", 7),
+    ("costs --table 4 --format csv", 0),
+], ids=["verify", "decode", "costs"])
+def test_a_verify_round_builds_only_the_words_it_shows(capsys, monkeypatch,
+                                                       argv, words):
+    # The commands of the verify-n4096 benchmark round, at n = 16: the
+    # lemma check and the gate census read the summand layouts as ints,
+    # so only decode --trace builds BitWords, the seven it prints.
+    built = []
+    post_init = converter.BitWord.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+    monkeypatch.setattr(converter.BitWord, "__post_init__", counted)
+    code, _, _ = run(capsys, *argv.split())
+    assert (code, len(built)) == (0, words)
+
+
 def test_verify_lists_roundtrip_and_lemma_failures(capsys, monkeypatch):
     monkeypatch.setattr(core, "crt_reconstruct", lambda ms, rv: 0)
-    monkeypatch.setattr(converter, "r2_summand",
-                        lambda n, r2: converter.BitWord(0, 4 * n))
+    monkeypatch.setattr(converter, "r2_summand", lambda n, r2: 0)
     code, out, _ = run(capsys, "verify", "--n", "1", "--exhaustive")
     assert code == 1
     assert out.splitlines() == [

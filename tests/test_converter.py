@@ -51,8 +51,9 @@ def test_bitword_validation():
 def test_the_width_ceiling_admits_every_word_the_library_builds():
     # The cost model's widest summand is 4n bits at n = MAX_SIZE.
     assert 4 * MAX_SIZE == MAX_WIDTH
-    assert (datapath.merged_summand(MAX_SIZE, 0, 0)
-            == BitWord((1 << MAX_WIDTH) - 1, MAX_WIDTH))
+    widest = datapath.merged_summand(MAX_SIZE, 0, 0)
+    assert widest == (1 << MAX_WIDTH) - 1
+    assert BitWord(widest, MAX_WIDTH).value == widest
     # decode_trace's widest word is the 5n-bit X of the largest set.
     ms = make_moduli_set(MAX_N)
     trace = decode_trace(ms, forward_convert(ms, ms.M - 1))
@@ -115,7 +116,7 @@ def test_operand_lemmas_are_proved_for_every_n_up_to_64_and_at_1024_and_4096():
 
         def lemma(layout, coeff, bits):
             """{r: L(r)} at 0 and the units, each checked against coeff * r."""
-            values = {r: layout(n, r).value for r in (0, *units[:bits])}
+            values = {r: layout(n, r) for r in (0, *units[:bits])}
             assert values[0] % modw == 0, (layout.__name__, n, 0)
             want = coeff % modw  # coeff * r at r = 1, doubled per unit
             for r in units[:bits]:
@@ -130,8 +131,42 @@ def test_operand_lemmas_are_proved_for_every_n_up_to_64_and_at_1024_and_4096():
         s32 = lemma(datapath.r3_comp_summand, -(1 << n - 1), 2 * n + 1)
         for r1, r3 in ((0, 0), *((r, 0) for r in units[:n]),
                        *((0, r) for r in units)):
-            merged = datapath.merged_summand(n, r1, r3).value
+            merged = datapath.merged_summand(n, r1, r3)
             assert (merged - s1[r1] - s32[r3]) % modw == 0, (n, r1, r3)
+
+
+def test_decoder_is_proved_for_every_n_up_to_256_and_at_1024_and_4096():
+    """reverse_convert and decode_trace equal crt_reconstruct, proved per n.
+
+    Both decoders compute Y = (a + b + c) mod 2^(4n) - 1, canonical, where
+    a, b and c are wiring: shifts, masks, complements (== negation) and
+    ORs of disjoint fields.  So Y is affine in the residue bits modulo
+    2^(4n) - 1.  The true Y = (X - r1) / 2^n is linear in the residues
+    modulo 2^(4n) - 1, by the CRT.  Two such maps that agree at r = 0 and
+    at each of the 5n + 1 unit residues (2^j for j < n in r1, j < 2n in
+    r2 and j <= 2n in r3) agree everywhere, and as both lie in
+    [0, 2^(4n) - 1) they are equal; X is Y * 2^n + r1 on both sides.
+
+    The premise is that the CSA-EAC (the carry-save adder with end-around
+    carry) and the end-around add compute the sum mod 2^w - 1 at every
+    width w.  Both are width-generic: column-local full adders with the
+    carry rotated one place (test_csa_eac_identity_random sweeps width 4),
+    and one fold of a sum below 2^(w+1) (test_mod_add_end_around_canonical
+    samples it); the fused kernel inlines the same two expressions.  A
+    fault that breaks affinity (an AND of two fields, say) is left to the
+    sampled and exhaustive tests.
+    """
+    for n in (*range(1, 257), 1024, 4096):
+        ms = make_moduli_set(n)
+        staged = n <= 64 or n >= 1024
+        for r in ((0, 0, 0), *((1 << j, 0, 0) for j in range(n)),
+                  *((0, 1 << j, 0) for j in range(2 * n)),
+                  *((0, 0, 1 << j) for j in range(2 * n + 1))):
+            rv = ResidueVector(*r)
+            x = crt_reconstruct(ms, rv)
+            assert reverse_convert(ms, rv) == x, (n, r)
+            if staged:
+                assert decode_trace(ms, rv).x.value == x, (n, r)
 
 
 def test_csa_eac_examples():

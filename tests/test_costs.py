@@ -92,12 +92,8 @@ def _miswire_s31(monkeypatch, keep):
     """Replace converter.r3_rot_summand with one whose S31 keeps only the
     bits that keep(n) selects."""
     real = converter.r3_rot_summand
-
-    def r3_rot_summand(n, r3):
-        s31 = real(n, r3)
-        return converter.BitWord(s31.value & keep(n), s31.width)
-
-    monkeypatch.setattr(converter, "r3_rot_summand", r3_rot_summand)
+    monkeypatch.setattr(converter, "r3_rot_summand",
+                        lambda n, r3: real(n, r3) & keep(n))
 
 
 def test_hw_bill_ours_follows_the_summand_wiring(monkeypatch):
