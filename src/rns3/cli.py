@@ -60,7 +60,7 @@ def parse_uint(text: str) -> int:
     except ValueError:
         # More digits than int() takes: read them as it reads fewer (a sign,
         # single _ between digits), in chunks as format_decimal writes them.
-        if not re.fullmatch(r"[+-]?[0-9]+(?:_[0-9]+)*", t):
+        if not re.fullmatch(r"[+-]?\d+(?:_\d+)*", t):
             raise argparse.ArgumentTypeError(
                 f"not an unsigned integer: {_shown_text(text)}")
         digits = t.lstrip("+-").replace("_", "")

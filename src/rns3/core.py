@@ -23,9 +23,10 @@ arbitrary precision, but n is capped at MAX_N (see there).
 forward_convert reads its masks and widths from the set, which derives
 them once (see ModuliSet), and builds the vector it returns in place,
 stamped with the set: object.__new__, then one store into each of the
-vector's four slots.  A vector is trusted by its set stamp alone (see
-ResidueVector); any other vector passes validate_residues, which checks
-its set, then each residue in turn.
+vector's four slots.  The two hot kernels, rns_op and reverse_convert,
+trust a vector by its set stamp alone (see ResidueVector); every other
+vector, and every vector that crt_reconstruct decodes, passes
+validate_residues, which checks its set, then each residue in turn.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ if TYPE_CHECKING:
     from rns3.channels import ChannelId
 
 
-# The largest n a set accepts, checked before any shift: a set of this
-# size builds in about 0.1 s (its coprimality gcds grow as n^2), and an n
-# near 10^9 would allocate gigabytes, or 2^70 overflow, unchecked.
+# The largest n a set accepts, checked before any shift: an n near 10^9
+# would allocate gigabytes, or 2^70 overflow, unchecked.
 MAX_N = 1 << 16
 
 # The widest word, or channel, that BitWord, ChannelId and the 2^k - 1 bit
@@ -58,9 +58,9 @@ MAX_WIDTH = 1 << 22
 class ModuliSet:
     """The moduli set of size 1 <= n <= MAX_N: n is its only field.
 
-    ModuliSet(n) checks n and the set's invariants and derives the rest
-    once, as plain attributes, not fields: the moduli, M and the weights
-    of the module docstring, and the masks and shift amounts that rns_op,
+    ModuliSet(n) checks n and derives the rest once, as plain
+    attributes, not fields: the moduli, M and the weights of the module
+    docstring, and the masks and shift amounts that rns_op,
     forward_convert and reverse_convert read, so that they compute none
     per call:
 
@@ -97,11 +97,6 @@ class ModuliSet:
                 shift_3n_m1=3 * n - 1, shift_n_m1=n - 1, shift_n_p1=n + 1,
         ).items():
             object.__setattr__(self, name, value)  # frozen: set once, here
-        # The invariants fail only on a library defect, not on user input;
-        # they are checked explicitly so that they also hold under python -O.
-        if not pairwise_coprime([m1, m2, m3]):
-            raise ParameterError(f"the moduli of n={n} are not pairwise coprime")
-        _check_weights(self)
 
     def moduli(self) -> tuple[int, int, int]:
         return (self.m1, self.m2, self.m3)
@@ -128,12 +123,13 @@ class ResidueVector:
     stamp: the ModuliSet its residues were made canonical for.  Those two
     kernels are the only places that stamp a vector; each builds its
     result in place, object.__new__ then four slot stores (r1, r2, r3,
-    _set, through the _put_* setters below), with no __init__ frame.  The
-    entry points trust a vector stamped with the set they are given, and
-    reject one stamped with a set of another n; any other vector is
-    checked in full.  The stamp is not a field, so fields(), repr, ==,
-    hash and dataclasses.replace ignore it; a vector built by hand, and
-    every replace(), copy and unpickled vector, holds _UNSTAMPED.
+    _set, through the _put_* setters below), with no __init__ frame.
+    rns_op and reverse_convert trust a vector stamped with the set they
+    are given; every entry point rejects one stamped with a set of another
+    n, and checks any other vector in full.  The stamp is not a field, so
+    fields(), repr, ==, hash and dataclasses.replace ignore it; a vector
+    built by hand, and every replace(), copy and unpickled vector, holds
+    _UNSTAMPED.
 
     The four values live in slots, with no instance __dict__, so field
     reads are plain slot reads: vars(rv) raises TypeError, and a vector
@@ -177,8 +173,7 @@ def make_moduli_set(n: int) -> ModuliSet:
     """The validated moduli set for size parameter 1 <= n <= MAX_N.
 
     Sets are frozen and shared, one per n: the sets of the 16 sizes used
-    last are kept, so a repeated call returns the same object, built and
-    checked once.  A build that raises is not kept.
+    last are kept, so a repeated call returns the same object, built once.
     """
     # Checked before the cache lookup, which would raise TypeError, not
     # ParameterError, for an unhashable n such as [1].
@@ -187,15 +182,6 @@ def make_moduli_set(n: int) -> ModuliSet:
 
 
 _moduli_set = functools.lru_cache(maxsize=16)(ModuliSet)
-
-
-def _check_weights(ms: ModuliSet) -> None:
-    for mhat, inv, m in ((ms.mhat1, ms.inv1, ms.m1),
-                         (ms.mhat2, ms.inv2, ms.m2),
-                         (ms.mhat3, ms.inv3, ms.m3)):
-        if mhat * inv % m != 1:
-            raise ParameterError(f"weight {_shown(inv)} is not the inverse of "
-                                 f"{_shown(mhat)} modulo {_shown(m)}")
 
 
 def pairwise_coprime(values: list[int]) -> bool:
@@ -268,13 +254,11 @@ def crt_reconstruct(ms: ModuliSet, rv: ResidueVector) -> int:
     taken in closed form: t1 = -r1 mod 2^n, t2 is r2 rotated left by n - 1
     in 2n bits, t3 is r3 << n - 1 folded once modulo 2^(2n) + 1, and the
     mhats are shifts.  Each term is below M, so the sum is below 3M.
+
+    As the oracle that the stamping kernels are checked against, it trusts
+    no stamp: every vector passes validate_residues.
     """
-    try:
-        checked = rv._set is ms  # stamped with ms: canonical for it
-    except AttributeError:  # not a vector; validate_residues raises
-        checked = False
-    if not checked:
-        validate_residues(ms, rv)
+    validate_residues(ms, rv)
     r1, r2, r3 = rv.r1, rv.r2, rv.r3
     n, m2, M = ms.n, ms.m2, ms.M
     t1 = -r1 & (ms.m1 - 1)
@@ -295,5 +279,10 @@ def inverse_constants(ms: ModuliSet) -> tuple[int, int, int]:
     """The closed-form weights (2^n - 1, 2^(n-1), 2^(n-1)), re-verified."""
     if not isinstance(ms, ModuliSet):
         raise ParameterError(f"expected a ModuliSet, got {_shown(ms)}")
-    _check_weights(ms)
+    for mhat, inv, m in ((ms.mhat1, ms.inv1, ms.m1),
+                         (ms.mhat2, ms.inv2, ms.m2),
+                         (ms.mhat3, ms.inv3, ms.m3)):
+        if mhat * inv % m != 1:
+            raise ParameterError(f"weight {_shown(inv)} is not the inverse of "
+                                 f"{_shown(mhat)} modulo {_shown(m)}")
     return (ms.inv1, ms.inv2, ms.inv3)

@@ -109,7 +109,7 @@ MUTANTS = [
      "the range is halved: forward_convert refuses X in [M/2, M)"),
     ("derived inv2", "src/rns3/core.py",
      "inv2=1 << (n - 1),", "inv2=(1 << (n - 1)) + m2,",
-     "a weight congruent to the inverse, so _check_weights passes it, "
+     "a weight congruent to the inverse, so inverse_constants passes it, "
      "but not canonical"),
     ("ModuliSet n >= 1", "src/rns3/core.py",
      '_check_int(self.n, "set parameter n", 1, MAX_N)',
@@ -257,6 +257,13 @@ MUTANTS = [
     ("crt_reconstruct t3 +m3", "src/rns3/core.py",
      "t3 += ms.m3", "pass",
      "a negative folded r3 weight stays negative"),
+    ("crt_reconstruct trusts the stamp", "src/rns3/core.py",
+     "    validate_residues(ms, rv)\n    r1, r2, r3 = rv.r1, rv.r2, rv.r3\n",
+     "    if rv._set is not ms:\n        validate_residues(ms, rv)\n"
+     "    r1, r2, r3 = rv.r1, rv.r2, rv.r3\n",
+     "the oracle decodes a stamped vector whose residue was put out of "
+     "range, as the kernel it checks does",
+     "tests/test_core.py::test_crt_reconstruct_checks_a_stamped_vector"),
     ("verify fold loop", "src/rns3/cli.py",
      "while v > mask:", "if v > mask:",
      "the checker's mod 2^k - 1 reference folds only once"),

@@ -487,8 +487,10 @@ def test_parse_uint_beyond_int_str_digit_limit():
 
 # Spellings of a string of digits, each {} a piece of it, and what
 # parse_uint reads from each: their value (None), or the start of its error.
+# A form may add digits of any script that int() reads (Unicode category
+# Nd), such as the Arabic-Indic one and two.
 DECIMAL_FORMS = {
-    "+{}": None, "{}_{}": None, "+{}_{}_{}": None,
+    "+{}": None, "{}_{}": None, "+{}_{}_{}": None, "{}\u0661\u0662": None,
     "-{}": "value must be >= 0", "{}__{}": "not an unsigned integer",
     "{}_": "not an unsigned integer", "_{}": "not an unsigned integer",
     "+-{}": "not an unsigned integer",
@@ -505,7 +507,7 @@ def test_parse_uint_reads_decimal_forms_alike_past_the_digit_limit(form, error):
         cut = [size * i // form.count("{}") for i in range(form.count("{}") + 1)]
         text = form.format(*(digits[a:b] for a, b in zip(cut, cut[1:])))
         if error is None:
-            assert cli.parse_uint(text) == _from_digits(digits)
+            assert cli.parse_uint(text) == _from_digits(filter(str.isdecimal, text))
         else:
             with pytest.raises(argparse.ArgumentTypeError, match=f"^{error}: "):
                 cli.parse_uint(text)

@@ -3,7 +3,6 @@
 import ast
 import copy
 import dataclasses
-import functools
 import gc
 import pickle
 import random
@@ -100,21 +99,9 @@ def test_make_moduli_set_shares_one_set_per_n():
     assert make_moduli_set(2) is not make_moduli_set(1)
 
 
-def test_failed_build_is_not_cached(monkeypatch):
-    builder = functools.lru_cache(maxsize=None)(core._moduli_set.__wrapped__)
-    monkeypatch.setattr(core, "_moduli_set", builder)
-    with monkeypatch.context() as broken:
-        broken.setattr(core, "pairwise_coprime", lambda values: False)
-        with pytest.raises(ParameterError, match="not pairwise coprime"):
-            make_moduli_set(5)
-    assert builder.cache_info().currsize == 0
-    ms = make_moduli_set(5)
-    assert make_moduli_set(5) is ms and ms.moduli() == (32, 1023, 1025)
-
-
 def test_moduli_set_product_invariants():
     # mhat_i * m_i == M pins the shift-built weights to M // m_i.
-    for n in [*range(1, 65), 1024, 4096]:
+    for n in [*range(1, 65), 1024, 4096, core.MAX_N]:
         ms = make_moduli_set(n)
         assert ms.m1 * ms.m2 * ms.m3 == ms.M
         assert ms.mhat1 * ms.m1 == ms.M
@@ -148,9 +135,13 @@ DERIVED = {
 
 
 def test_derived_constants_match_closed_forms():
-    for n in [*range(1, 65), 4096]:
+    # A set derives these and re-proves none of them: the closed forms and
+    # coprimality are checked here, the weights' inverses by criterion 5
+    # and test_inverse_constants.
+    for n in [*range(1, 65), 4096, core.MAX_N]:
         ms = make_moduli_set(n)
         assert vars(ms).keys() == {"n", *DERIVED}
+        assert pairwise_coprime(ms.moduli()), n
         twin = dataclasses.replace(ms)
         unpickled = pickle.loads(pickle.dumps(ms))
         for s in (ms, twin, unpickled):
@@ -482,7 +473,7 @@ def test_vectors_pickled_with_an_instance_dict_still_load(protocol, monkeypatch)
     assert type(rv) is ResidueVector and rv == ResidueVector(1, 2, 3)
     assert rv._set is core._UNSTAMPED
     assert pickle.dumps(rv, protocol) == data  # and written the same today
-    # Unstamped, so crt_reconstruct checks it in full before decoding it:
+    # crt_reconstruct checks it in full before decoding it:
     # X = 23 is 1, 2 and 3 modulo the moduli 2, 3 and 5 of n = 1.
     ms = make_moduli_set(1)
     checked = []
@@ -555,6 +546,18 @@ def test_crt_reconstruct_rejects_a_vector_of_another_set():
     with pytest.raises(ResidueError, match="^the vector was built for "
                                            "the set of n=2, not for n=3$"):
         crt_reconstruct(make_moduli_set(3), rv)
+
+
+def test_crt_reconstruct_checks_a_stamped_vector():
+    # The oracle trusts no stamp: a stamped vector whose r2 is set to m2
+    # keeps its stamp, and reverse_convert, which trusts it, decodes
+    # (0, 15, 15) to 780.
+    ms2 = make_moduli_set(2)
+    rv = forward_convert(ms2, 100)
+    core._put_r2(rv, ms2.m2)
+    assert rv._set is ms2
+    with pytest.raises(ResidueError, match="^R2=15 out of range for modulus 15$"):
+        crt_reconstruct(ms2, rv)
 
 
 def test_validate_residues():
@@ -685,17 +688,12 @@ def test_non_int_residues_are_rejected():
 def test_inverse_constants():
     assert inverse_constants(make_moduli_set(2)) == (3, 2, 2)
     assert inverse_constants(make_moduli_set(1)) == (1, 1, 1)
+    n = core.MAX_N  # the weights are re-verified, as no set build does
+    assert inverse_constants(make_moduli_set(n)) == (
+        2 ** n - 1, 2 ** (n - 1), 2 ** (n - 1))
     # direct products for n=2
     assert 68 * 2 % 15 == 1
     assert 60 * 2 % 17 == 1
-
-
-def test_set_invariants_are_checked_without_assert(monkeypatch):
-    # Bypass the set cache, so that n = 4 is built here, not looked up.
-    monkeypatch.setattr(core, "_moduli_set", core._moduli_set.__wrapped__)
-    monkeypatch.setattr(core, "pairwise_coprime", lambda values: False)
-    with pytest.raises(ParameterError, match="not pairwise coprime"):
-        make_moduli_set(4)
 
 
 def test_library_has_no_code_that_python_O_removes():
