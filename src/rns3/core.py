@@ -76,8 +76,10 @@ class ModuliSet:
 
     So a set is its n: ==, hash and repr read n alone, replace(ms, n=k)
     is the set of k, and replace() refuses a derived name with TypeError;
-    a pickle carries the derived values.  channels() builds the channel
-    ids on call.  Sets are frozen, and make_moduli_set shares one per n.
+    a pickle or copy carries n alone and loads as the shared set of
+    make_moduli_set, so no derived value is trusted from outside.
+    channels() builds the channel ids on call.  Sets are frozen, and
+    make_moduli_set shares one per n.
     """
 
     n: int
@@ -97,6 +99,9 @@ class ModuliSet:
                 shift_3n_m1=3 * n - 1, shift_n_m1=n - 1, shift_n_p1=n + 1,
         ).items():
             object.__setattr__(self, name, value)  # frozen: set once, here
+
+    def __reduce__(self):
+        return (make_moduli_set, (self.n,))
 
     def moduli(self) -> tuple[int, int, int]:
         return (self.m1, self.m2, self.m3)

@@ -24,8 +24,8 @@ Designs compared:
 
 REF1/REF9/REF11 are modeled from their published gate bills only; their
 datapaths are not implemented here.  The OURS bill is counted from the
-converter's summand layouts (merged_summand, r2_summand, r3_rot_summand),
-which take only n, so no ModuliSet with its 5n-bit weights is built.
+operand wiring table, rns3.datapath.LAYOUTS, whose rows take only n, so
+no ModuliSet with its 5n-bit weights is built.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
 
-from rns3 import converter
+from rns3.datapath import LAYOUTS
 from rns3.errors import ParameterError, _check_int, _shown
 
 # The largest size a design or a channel takes, checked before any shift.
-# The model builds 4n-bit summand words but no moduli set, so it goes past
-# core.MAX_N: the OURS bill at this size counts in about 20 ms, and the
+# The model builds 4n-bit wire masks but no moduli set, so it goes past
+# core.MAX_N: the OURS bill at this size counts in about 5 ms, and the
 # classic set's m matched to every n <= core.MAX_N lies below it.  An n
-# near 10^9 would build words of gigabytes, or 2^70 overflow, unchecked.
+# near 10^9 would build masks of gigabytes, or 2^70 overflow, unchecked.
 MAX_SIZE = 1 << 20
 
 
@@ -120,29 +120,26 @@ _PATH_LEVELS = {Design.OURS: (1, 0, 4), Design.REF1: (3, 0, 4),
 
 
 def _counted_bill(n: int) -> HwBill:
-    """The OURS bill at size n, counted from the converter's summand layouts.
-
-    A summand bit that differs between all-zero and all-ones residues is a
-    wire (an inverter if it reads 1 at zero), any other bit a constant.  A
-    CSA column of three wires takes a full adder; two wires take an XOR/AND
-    pair beside a constant 0, an XNOR/OR pair beside a constant 1.
+    """The OURS bill at size n, counted from the wiring table LAYOUTS: in
+    s1_prime, s2 and s31 a residue field is wires (inverters if its row is
+    complemented), a filler constants (ones if complemented).  A CSA column
+    of three wires takes a full adder; two wires take an XOR/AND pair
+    beside a constant 0, an XNOR/OR pair beside a constant 1.
     """
-    def summands(r1, r2, r3):
-        return (converter.merged_summand(n, r1, r3),
-                converter.r2_summand(n, r2), converter.r3_rot_summand(n, r3))
-
-    zero = summands(0, 0, 0)
-    full = summands((1 << n) - 1, (1 << 2 * n) - 1, (1 << 2 * n + 1) - 1)
-    a, b, c = wires = [z ^ f for z, f in zip(zero, full)]
+    wires, ones, inverters = [], 0, 0
+    for name in ("s1_prime", "s2", "s31"):
+        complemented, layout = LAYOUTS[name]
+        row = 0
+        for residue, _, width in layout(n):
+            row = row << width | ((1 << width) - 1 if residue else 0)
+        wires.append(row)
+        if complemented:
+            inverters += row.bit_count()
+            ones |= ((1 << 4 * n) - 1) ^ row
+    a, b, c = wires
     three = a & b & c
     two = ((a & b) | (a & c) | (b & c)) ^ three
-    ones = (zero[0] & ~a) | (zero[1] & ~b) | (zero[2] & ~c)
-    short = ((1 << 4 * n) - 1) & ~(three | two)
-    if short:
-        raise ParameterError(f"summand column {short.bit_length() - 1} of size"
-                             f" {n} has fewer than two wires")
-    return HwBill(Design.OURS,
-                  inverters=sum((z & w).bit_count() for z, w in zip(zero, wires)),
+    return HwBill(Design.OURS, inverters=inverters,
                   full_adders=three.bit_count(),
                   xor_and_pairs=(two & ~ones).bit_count(),
                   xnor_or_pairs=(two & ones).bit_count(),

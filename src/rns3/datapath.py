@@ -4,23 +4,14 @@ rns3.converter forwards these names and imports this module on the first
 read of one, so a process that only encodes and decodes never compiles
 it; decode --trace, verify's lemma check and the gate census load it.
 
-Summand layouts, MSB first, segment widths in brackets:
-
-    s1_prime = ~r1[n]    | ~r3[2n+1]     | ones[n-1]
-    s2       = r2[n..0]  | r2[2n-1..0]   | r2[2n-1..n+1]
-    s31      = r3[n..0]  | zeros[2n-1]   | r3[2n..n+1]
-
-Their values modulo 2^(4n)-1 are the three coefficient products
--2^(3n)*r1 - 2^(n-1)*r3, (2^(3n-1)+2^(n-1))*r2 and 2^(3n-1)*r3: shifts
-are rotations in this modulus and negations are complements.  s1_prime
-folds the r1 word and the complemented-r3 word into one summand; the
-leftover filler is the all-ones word, which is congruent to zero, so a
-single carry-save level suffices for all three channels.
-
-Each layout function lists its summand's segments as (bits, width)
-pairs in the order drawn above, bits[hi..lo] as bits >> lo, and joins
-them into one int, the one reference for this wiring.  BitWord holds
-only the words that prepare_operands, csa_eac and decode_trace return.
+LAYOUTS is the operand wiring, written once: the layout functions
+evaluate its rows through _wired, and the gate census of rns3.costs
+reads them.  Modulo 2^(4n)-1 the rows are -2^(3n)*r1 (s1),
+(2^(3n-1)+2^(n-1))*r2 (s2), 2^(3n-1)*r3 (s31), -2^(n-1)*r3 (s32) and
+s1 + s32 (s1_prime), as shifts are rotations and negations complements;
+the all-ones word left over is congruent to zero, so one carry-save
+level over s1_prime, s2 and s31 suffices.  BitWord holds only the words
+that prepare_operands, csa_eac and decode_trace return.
 """
 
 from __future__ import annotations
@@ -52,19 +43,31 @@ class BitWord:
         return format(self.value, f"0{self.width}b") if self.width else ""
 
 
-def _wired(*segments: tuple[int, int]) -> int:
-    """One word from (bits, width) segments, MSB first: each segment keeps
-    the low width bits of its bits, so ~r is r complemented and -1 is
-    ones."""
-    value = 0
-    for bits, w in segments:
+# One row per summand: (complemented, fields), fields(n) MSB first, each
+# (residue, low, width) for the bits [low, low + width) of r1, r2 or r3,
+# or zeros for residue 0; the fillers of a complemented row are ones.
+LAYOUTS = {
+    "s1": (True, lambda n: ((1, 0, n), (0, 0, 3 * n))),
+    "s2": (False, lambda n: ((2, 0, n + 1), (2, 0, 2 * n), (2, n + 1, n - 1))),
+    "s31": (False, lambda n: ((3, 0, n + 1), (0, 0, 2 * n - 1), (3, n + 1, n))),
+    "s32": (True, lambda n: ((0, 0, n), (3, 0, 2 * n + 1), (0, 0, n - 1))),
+    "s1_prime": (True, lambda n: ((1, 0, n), (3, 0, 2 * n + 1), (0, 0, n - 1))),
+}
+
+
+def _wired(n: int, name: str, r1: int = 0, r2: int = 0, r3: int = 0) -> int:
+    """Row name of LAYOUTS at size n as one 4n-bit int."""
+    complemented, fields = LAYOUTS[name]
+    residues, value = (0, r1, r2, r3), 0
+    for residue, low, w in fields(n):
+        bits = residues[residue] >> low if low else residues[residue]  # no copy
         value = value << w | bits & ((1 << w) - 1)
-    return value
+    return value ^ ((1 << 4 * n) - 1) if complemented else value
 
 
 def r1_summand(n: int, r1: int) -> int:
     """Complemented r1 over an all-ones tail: -2^(3n)*r1 mod 2^(4n)-1."""
-    return _wired((~r1, n), (-1, 3 * n))
+    return _wired(n, "s1", r1=r1)
 
 
 def r2_summand(n: int, r2: int) -> int:
@@ -73,17 +76,17 @@ def r2_summand(n: int, r2: int) -> int:
     The two rotated copies occupy disjoint bit positions, so their sum is
     plain concatenation and costs no adder.
     """
-    return _wired((r2, n + 1), (r2, 2 * n), (r2 >> n + 1, n - 1))
+    return _wired(n, "s2", r2=r2)
 
 
 def r3_rot_summand(n: int, r3: int) -> int:
     """r3 rotated left by 3n-1: +2^(3n-1)*r3 mod 2^(4n)-1."""
-    return _wired((r3, n + 1), (0, 2 * n - 1), (r3 >> n + 1, n))
+    return _wired(n, "s31", r3=r3)
 
 
 def r3_comp_summand(n: int, r3: int) -> int:
     """Complemented, rotated r3 between ones fillers: -2^(n-1)*r3."""
-    return _wired((-1, n), (~r3, 2 * n + 1), (-1, n - 1))
+    return _wired(n, "s32", r3=r3)
 
 
 def merged_summand(n: int, r1: int, r3: int) -> int:
@@ -93,7 +96,7 @@ def merged_summand(n: int, r1: int, r3: int) -> int:
     are swapped so that all the ones collect in one word (congruent to
     zero) and the residue bits collect here.
     """
-    return _wired((~r1, n), (~r3, 2 * n + 1), (-1, n - 1))
+    return _wired(n, "s1_prime", r1=r1, r3=r3)
 
 
 @dataclass(frozen=True)

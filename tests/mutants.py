@@ -74,6 +74,11 @@ MUTANTS = [
     ("rns_op pow2 mask", "src/rns3/channels.py",
      "_put_r1(rv, t1 & ms.pow2_mask)", "_put_r1(rv, t1)",
      "the 2^n channel is never reduced"),
+    ("rns_op pow2 mask per call", "src/rns3/channels.py",
+     "_put_r1(rv, t1 & ms.pow2_mask)", "_put_r1(rv, t1 & (1 << ms.n) - 1)",
+     "rns_op computes the 2^n mask per call instead of reading the set's",
+     "tests/test_core.py::"
+     "test_kernels_execute_a_fixed_number_of_bytecodes_per_call"),
     ("rns_op stamp store", "src/rns3/channels.py",
      "_put_set(rv, ms)", '_put_set(rv, __import__("rns3.core").core._UNSTAMPED)',
      "results come back unstamped, so the next rns_op checks them in full"),
@@ -148,21 +153,28 @@ MUTANTS = [
      "return 0 if t == mask else t", "return t",
      "the staged adder returns Y = 2^(4n) - 1 for Y = 0",
      "tests/test_converter.py"),
-    ("merged_summand segment order", "src/rns3/datapath.py",
-     "_wired((~r1, n), (~r3, 2 * n + 1), (-1, n - 1))",
-     "_wired((~r3, 2 * n + 1), (~r1, n), (-1, n - 1))",
+    ("s1_prime field order", "src/rns3/datapath.py",
+     "lambda n: ((1, 0, n), (3, 0, 2 * n + 1), (0, 0, n - 1))",
+     "lambda n: ((3, 0, 2 * n + 1), (1, 0, n), (0, 0, n - 1))",
      "S1' carries the complemented r1 and r3 in each other's bits",
-     "tests/test_converter.py"),
-    ("layout segment mask", "src/rns3/datapath.py",
+     "tests/test_converter.py::"
+     "test_operand_lemmas_are_proved_per_field_for_every_n_up_to_MAX_N"),
+    ("layout field mask", "src/rns3/datapath.py",
      "value = value << w | bits & ((1 << w) - 1)",
      "value = value << w | bits",
-     "a segment's bits above its width, and a complement's sign, spill "
-     "into the segments before it", "tests/test_converter.py"),
-    ("r2_summand segment width", "src/rns3/datapath.py",
-     "_wired((r2, n + 1), (r2, 2 * n), (r2 >> n + 1, n - 1))",
-     "_wired((r2, n + 1), (r2, 2 * n - 1), (r2 >> n + 1, n - 1))",
+     "a field's residue bits above its width spill into the fields before "
+     "it", "tests/test_converter.py"),
+    ("S2 middle field width", "src/rns3/datapath.py",
+     "(2, 0, 2 * n), (2, n + 1, n - 1)",
+     "(2, 0, 2 * n - 1), (2, n + 1, n - 1)",
      "S2 loses the top bit of its middle r2 copy and is one bit narrow",
-     "tests/test_converter.py"),
+     "tests/test_converter.py::"
+     "test_operand_lemmas_are_proved_per_field_for_every_n_up_to_MAX_N"),
+    ("S31 flagged complemented", "src/rns3/datapath.py",
+     '"s31": (False,', '"s31": (True,',
+     "S31 is complemented, so it carries -2^(3n-1)*r3 over ones fillers",
+     "tests/test_converter.py::"
+     "test_operand_lemmas_are_proved_per_field_for_every_n_up_to_MAX_N"),
     ("ModuliSet n ceiling", "src/rns3/core.py",
      '_check_int(self.n, "set parameter n", 1, MAX_N)',
      '_check_int(self.n, "set parameter n", 1)',
@@ -217,6 +229,13 @@ MUTANTS = [
      "if hi is not None and value > hi:", "if hi is not None and value > hi + 1:",
      "every bounded argument admits hi + 1",
      "tests/test_core.py::test_every_int_argument_is_guarded"),
+    ("census counts inverters in an uncomplemented row", "src/rns3/costs.py",
+     "wires.append(row)\n        if complemented:\n"
+     "            inverters += row.bit_count()\n",
+     "wires.append(row)\n        inverters += row.bit_count()\n"
+     "        if complemented:\n",
+     "the wires of S2 and S31 are billed as inverters too",
+     "tests/test_costs.py::test_hw_bill_ours_counted_matches_closed_forms"),
     ("census pair polarity", "src/rns3/costs.py",
      "xor_and_pairs=(two & ~ones).bit_count(),\n"
      "                  xnor_or_pairs=(two & ones).bit_count(),",
@@ -320,9 +339,6 @@ EQUIVALENT = [
      "f(s, t) + pad", "f(s, t)",
      "for -m_i < t < 0, t & (2^n - 1) is t mod 2^n, and the fold leaves t, "
      "so hi = -1, lo = t + 2^(2n), lo + hi = t + m2 and lo - hi = t + m3"),
-    ("census S31 inverters", "src/rns3/costs.py",
-     "for z, w in zip(zero, wires))", "for z, w in zip(zero[:2], wires[:2]))",
-     "S31 reads 0 at all-zero residues, so it adds no inverter"),
 ]
 
 

@@ -272,6 +272,15 @@ def test_codec_import_leaves_channels_and_costs_unloaded():
         ["rns3", "rns3.converter", "rns3.core", "rns3.errors"]
 
 
+def test_readme_library_example_runs_and_loads_the_modules_it_names():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "assert reverse_convert(" in example
+    assert loaded_after(example) == [
+        "rns3", "rns3.channels", "rns3.converter", "rns3.core", "rns3.errors"]
+
+
 def test_converter_loads_the_staged_path_on_first_read():
     fresh_python(
         "import sys\n"

@@ -1,6 +1,7 @@
 """Command-line contract: output formats, exit codes, determinism."""
 
 import argparse
+import ast
 import json
 import operator
 import os
@@ -405,6 +406,25 @@ def test_bench_interleaves_passes(capsys, monkeypatch):
     assert [line.split(":")[0] for line in out.splitlines()] == [
         "forward_convert", "reverse_convert", "crt_reconstruct",
         "rns_op add", "rns_op sub", "rns_op mul"]
+
+
+def test_verify_references_read_no_name_imported_from_rns3():
+    # verify checks the library against references of its own: a fault
+    # that they shared with the library would pass unseen.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "rns3"
+                for alias in node.names}
+    assert imported == {"channels", "converter", "core", "RnsError", "_shown"}
+    references = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  and fn.name in ("_fold_mod_mersenne", "_residues",
+                                  "_channel_results")]
+    found = [f"{fn.name}:{node.lineno}" for fn in references
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Name) and node.id in imported
+             or isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert len(references) == 3 and found == []
 
 
 def test_verify_memory_does_not_grow_with_samples(capsys, monkeypatch):

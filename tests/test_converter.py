@@ -96,43 +96,52 @@ def test_prepare_operands_rejects_bad_residues():
         prepare_operands(ms, ResidueVector(0, 15, 0))
 
 
-def test_operand_lemmas_are_proved_for_every_n_up_to_64_and_at_1024_and_4096():
-    """The four operand-value lemmas and the merge identity, proved per n.
+# Per summand, its coefficient as (residue, sign, exponent) terms: the
+# summand is congruent to the sum of sign * 2^exponent * residue.
+COEFFICIENTS = {
+    "s1": lambda n: {(1, -1, 3 * n)},
+    "s2": lambda n: {(2, 1, 3 * n - 1), (2, 1, n - 1)},
+    "s31": lambda n: {(3, 1, 3 * n - 1)},
+    "s32": lambda n: {(3, -1, n - 1)},
+    "s1_prime": lambda n: COEFFICIENTS["s1"](n) | COEFFICIENTS["s32"](n),
+}
 
-    Each summand layout is wiring only: residue bits, complemented residue
-    bits and constants.  So its value is affine in the residue bits,
-    L(r) = L(0) + the sum over the set bits j of r of (L(2^j) - L(0)), and
-    a lemma L(r) == c * r (mod 2^(4n) - 1) holds for every residue iff it
-    holds at r = 0 and at each unit residue 2^j: j < n for r1, j < 2n for
-    r2 and j <= 2n for r3, each 2^j a canonical residue.  merged_summand
-    is affine in r1 and r3 together, so the merge identity needs the same
-    points for each residue with the other at 0.  This test does not check
-    affinity itself: criterion 4's exhaustive sweep at n <= 3 would catch
-    a layout that stopped being wiring.
+
+def test_operand_lemmas_are_proved_per_field_for_every_n_up_to_MAX_N():
+    """The four operand-value lemmas and the merge identity, per field.
+
+    A row of datapath.LAYOUTS joins its fields into a 4n-bit word V, so a
+    field that holds the bits [low, low + width) of r at the offset top
+    adds (those bits) * 2^low * 2^(top - low), and modulo 2^(4n) - 1 the
+    factor 2^(top - low) is 2^((top - low) mod 4n); a complemented row is
+    2^(4n) - 1 - V, which is -V.  So the row is congruent to the sum of
+    sign * 2^e * r over its terms (r, sign, e) if its widths sum to 4n
+    and, per term, the fields tile [0, the width of r): n, 2n or 2n + 1
+    bits, which hold every canonical residue.  S1' has the terms of S1
+    and S32, which is the merge identity S1 + S32 == S1'.  That _wired
+    joins the fields as this test reads them is left to criterion 4's
+    exhaustive sweep at n <= 3 (_wired has no branch on n) and to the
+    decoder proof below.
     """
-    for n in (*range(1, 65), 1024, 4096):
-        modw = (1 << 4 * n) - 1
-        units = [1 << j for j in range(2 * n + 1)]  # r1 takes n, r2 2n
-
-        def lemma(layout, coeff, bits):
-            """{r: L(r)} at 0 and the units, each checked against coeff * r."""
-            values = {r: layout(n, r) for r in (0, *units[:bits])}
-            assert values[0] % modw == 0, (layout.__name__, n, 0)
-            want = coeff % modw  # coeff * r at r = 1, doubled per unit
-            for r in units[:bits]:
-                assert values[r] % modw == want, (layout.__name__, n, r)
-                want = 2 * want % modw
-            return values
-
-        s1 = lemma(datapath.r1_summand, -(1 << 3 * n), n)
-        lemma(datapath.r2_summand, (1 << 3 * n - 1) + (1 << n - 1), 2 * n)
-        lemma(datapath.r3_rot_summand, 1 << 3 * n - 1, 2 * n + 1)
-        # With the lemma above, the r3 pair sums to (2^(3n-1) - 2^(n-1))*r3.
-        s32 = lemma(datapath.r3_comp_summand, -(1 << n - 1), 2 * n + 1)
-        for r1, r3 in ((0, 0), *((r, 0) for r in units[:n]),
-                       *((0, r) for r in units)):
-            merged = datapath.merged_summand(n, r1, r3)
-            assert (merged - s1[r1] - s32[r3]) % modw == 0, (n, r1, r3)
+    assert datapath.LAYOUTS.keys() == COEFFICIENTS.keys()
+    for n in range(1, MAX_N + 1):
+        word, widths = 4 * n, (0, n, 2 * n, 2 * n + 1)
+        for name, (complemented, fields) in datapath.LAYOUTS.items():
+            sign = -1 if complemented else 1
+            terms, top = {}, word
+            for residue, low, width in fields(n):
+                top -= width
+                if residue:
+                    term = (residue, sign, (top - low) % word)
+                    terms.setdefault(term, []).append((low, width))
+            assert top == 0, (name, n)
+            assert terms.keys() == COEFFICIENTS[name](n), (name, n)
+            for (residue, _, _), spans in terms.items():
+                end = 0
+                for low, width in sorted(spans):
+                    assert low == end, (name, n, residue)
+                    end += width
+                assert end == widths[residue], (name, n, residue)
 
 
 def test_decoder_is_proved_for_every_n_up_to_256_and_at_1024_and_4096():

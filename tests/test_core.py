@@ -149,13 +149,25 @@ def test_derived_constants_match_closed_forms():
                 assert getattr(s, name) == form(n), (n, name)
         # The derived values leave ==, hash and repr to n, even when they
         # disagree.
-        odd = copy.copy(ms)
+        odd = core.ModuliSet(n)  # unshared: a copy would be the shared set
         for name in DERIVED:
             object.__setattr__(odd, name, -1)
         for s in (twin, unpickled, odd):
             assert s == ms and hash(s) == hash(ms) == hash((n,))
             assert repr(s) == repr(ms)
     assert repr(make_moduli_set(1)) == "ModuliSet(n=1)"
+
+
+def test_a_pickled_or_copied_set_is_the_shared_set_of_its_n():
+    # A pickle carries n alone: a forged derived value does not travel,
+    # and loading checks n and returns the one set make_moduli_set shares.
+    forged = core.ModuliSet(2)
+    object.__setattr__(forged, "m2", 7)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        loaded = pickle.loads(pickle.dumps(forged, protocol))
+        assert loaded is make_moduli_set(2) and loaded.m2 == 15
+    assert copy.copy(forged) is copy.deepcopy(forged) is make_moduli_set(2)
+    assert len(pickle.dumps(make_moduli_set(core.MAX_N))) < 100
 
 
 def test_a_set_is_its_n():
@@ -668,6 +680,73 @@ def test_kernels_allocate_a_fixed_number_of_blocks_per_call(kernel, blocks, n):
     assert (after - before) / len(kept) == pytest.approx(blocks, abs=0.05)
 
 
+def executed_bytecodes(fn, *args):
+    """Bytecodes that fn(*args) executes, its callees' included."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        count += event == "opcode"
+        return trace
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(outer)
+    return count
+
+
+def kernel_bytecodes(n):
+    """{kernel: bytecodes per call} at size n, on the operand M // 3."""
+    ms = make_moduli_set(n)
+    x = ms.M // 3
+    a = forward_convert(ms, x)
+    return {
+        "forward_convert": executed_bytecodes(forward_convert, ms, x),
+        "reverse_convert": executed_bytecodes(reverse_convert, ms, a),
+        "reverse_convert hand-built": executed_bytecodes(
+            reverse_convert, ms, ResidueVector(*a.astuple())),
+        "crt_reconstruct": executed_bytecodes(crt_reconstruct, ms, a),
+        "rns_op mul": executed_bytecodes(rns_op, ms, "mul", a, a),
+        "rns_op add": executed_bytecodes(rns_op, ms, "add", a, a),
+        "decode_trace": executed_bytecodes(decode_trace, ms, a),
+    }
+
+
+# Per minor version, each kernel's bytecodes per call, in the order of
+# kernel_bytecodes: 3.11.7, 3.12.1 and 3.13.0.
+BYTECODE_BUDGETS = {
+    (3, 11): (118, 120, 228, 202, 124, 117, 1388),
+    (3, 12): (111, 119, 214, 189, 120, 113, 1263),
+    (3, 13): (94, 105, 201, 181, 110, 105, 1203),
+}
+
+
+def test_kernels_execute_a_fixed_number_of_bytecodes_per_call():
+    """Each kernel executes the same bytecodes at every n, exactly its
+    budget for the running minor version.
+
+    A count is exact where a timing is not, so a budget sees one bytecode
+    more, such as a mask computed per call instead of read from the set.
+    A change that lowers a count lowers its budget; one that raises it
+    says why.  Counts do not see big-int work: rns_op mul's three products
+    are one bytecode each at any n, so at large n timed runs stay the
+    evidence.  With no budget row for the running version, the test
+    checks only that no count depends on n, and prints the counts.
+    """
+    executed_bytecodes(make_moduli_set, 2)  # 3.12 counts 0 on a first trace
+    counts = [kernel_bytecodes(n) for n in (2, 16, 1024)]
+    assert counts[0] == counts[1] == counts[2]
+    budget = BYTECODE_BUDGETS.get(sys.version_info[:2])
+    if budget is None:
+        print(f"bytecodes per call on {sys.version.split()[0]}: {counts[0]}")
+    else:
+        assert counts[0] == dict(zip(counts[0], budget))
+
+
 def test_crt_reconstruct_rejects_bad_residue():
     ms = make_moduli_set(2)
     with pytest.raises(ResidueError):
@@ -710,7 +789,7 @@ def test_library_has_no_code_that_python_O_removes():
 
 
 def test_inverse_constants_rejects_a_wrong_weight():
-    ms = copy.copy(make_moduli_set(4))
+    ms = core.ModuliSet(4)  # unshared, so the forged weight stays here
     object.__setattr__(ms, "inv2", 3)
     with pytest.raises(ParameterError, match="not the inverse"):
         inverse_constants(ms)

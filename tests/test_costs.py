@@ -2,7 +2,7 @@
 
 import pytest
 
-from rns3 import converter, core, costs
+from rns3 import converter, core, costs, datapath
 from rns3.channels import channel_op, reduce_mod
 from rns3.costs import (
     ChannelAdder,
@@ -88,27 +88,18 @@ def test_hw_bill_ours_counts_at_the_size_ceiling():
             b.ma_width) == (3 * top + 1, top + 2, 2 * top - 1, top - 1, 4 * top)
 
 
-def _miswire_s31(monkeypatch, keep):
-    """Replace converter.r3_rot_summand with one whose S31 keeps only the
-    bits that keep(n) selects."""
-    real = converter.r3_rot_summand
-    monkeypatch.setattr(converter, "r3_rot_summand",
-                        lambda n, r3: real(n, r3) & keep(n))
-
-
 def test_hw_bill_ours_follows_the_summand_wiring(monkeypatch):
-    # S31 without its top n+1 bits: those columns keep two wires beside a 0.
-    _miswire_s31(monkeypatch, lambda n: (1 << 3 * n - 1) - 1)
+    real = converter.r3_rot_summand(4, 181)
+    # S31 with its low r3 field, the top n + 1 bits of the word, a filler.
+    monkeypatch.setitem(datapath.LAYOUTS, "s31", (False, lambda n: (
+        (0, 0, n + 1), (0, 0, 2 * n - 1), (3, n + 1, n))))
+    # The layout and the census read one table: both lose the field.
+    assert converter.r3_rot_summand(4, 181) == real & (1 << 11) - 1
+    # Those columns keep two wires beside a 0.
     b = hw_bill(ConverterDesign(Design.OURS, 4))
     assert (b.inverters, b.full_adders, b.xor_and_pairs, b.xnor_or_pairs) == \
         (13, 1, 12, 3)
     assert area_total(b) != 341
-
-
-def test_hw_bill_ours_rejects_a_column_with_one_wire(monkeypatch):
-    _miswire_s31(monkeypatch, lambda n: 0)
-    with pytest.raises(ParameterError, match="fewer than two wires"):
-        hw_bill(ConverterDesign(Design.OURS, 4))
 
 
 def test_hw_bill_ours_builds_no_moduli_set(monkeypatch):
