@@ -19,8 +19,8 @@ rns_op reads its masks and the width 2n from the set, which derives them
 once (see core.ModuliSet).  It trusts operands stamped with its set (see
 core.ResidueVector); others pass core.validate_residues, a in full, then
 b, and the kernel's own branch on op then refuses an unknown op.  It
-builds its result in place, stamped with the set, by four slot stores
-(see core.ResidueVector).
+builds its result stamped with the set, by four plain slot stores into
+a core._Blank that then becomes a ResidueVector (see core.ResidueVector).
 
 channel_op and reduce_mod are the plain references, for one channel of
 any width: they check their arguments, then reduce with Python's %.
@@ -38,8 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from rns3.core import (MAX_WIDTH, ModuliSet, ResidueVector, _new, _put_r1, _put_r2,
-                       _put_r3, _put_set, validate_residues)
+from rns3.core import MAX_WIDTH, ModuliSet, ResidueVector, _Blank, validate_residues
 from rns3.errors import ParameterError, _check_int, _check_residue, _shown
 
 CHANNEL_OPS = ("add", "sub", "mul")
@@ -125,11 +124,12 @@ def rns_op(ms: ModuliSet, op: str, a: ResidueVector, b: ResidueVector) -> Residu
     else:
         raise ParameterError(f"unknown channel op {_shown(op)}")
     t2 = (t2 & m2) + (t2 >> w)
-    rv = _new(ResidueVector)  # stamped in place: see core.ResidueVector
-    _put_r1(rv, t1 & ms.pow2_mask)
-    _put_r2(rv, 0 if t2 == m2 else t2)
-    _put_r3(rv, t3 + m3 if t3 < 0 else t3)
-    _put_set(rv, ms)
+    rv = _Blank()  # stamped, then retyped: see core.ResidueVector
+    rv.r1 = t1 & ms.pow2_mask
+    rv.r2 = 0 if t2 == m2 else t2
+    rv.r3 = t3 + m3 if t3 < 0 else t3
+    rv._set = ms
+    rv.__class__ = ResidueVector
     return rv
 
 

@@ -21,9 +21,9 @@ a test pins it to a textbook CRT that calls no rns3 code.  Everything is
 arbitrary precision, but n is capped at MAX_N (see there).
 
 forward_convert reads its masks and widths from the set, which derives
-them once (see ModuliSet), and builds the vector it returns in place,
-stamped with the set: object.__new__, then one store into each of the
-vector's four slots.  The two hot kernels, rns_op and reverse_convert,
+them once (see ModuliSet), and builds the vector it returns stamped with
+the set: four plain slot stores into a _Blank, which then becomes a
+ResidueVector.  The two hot kernels, rns_op and reverse_convert,
 trust a vector by its set stamp alone (see ResidueVector); every other
 vector, and every vector that crt_reconstruct decodes, passes
 validate_residues, which checks its set, then each residue in turn.
@@ -127,8 +127,8 @@ class ResidueVector:
     A vector that forward_convert or rns_op returns carries a private
     stamp: the ModuliSet its residues were made canonical for.  Those two
     kernels are the only places that stamp a vector; each builds its
-    result in place, object.__new__ then four slot stores (r1, r2, r3,
-    _set, through the _put_* setters below), with no __init__ frame.
+    result as a _Blank (below), four plain slot stores (r1, r2, r3, _set),
+    then retypes it to ResidueVector, with no __init__ frame.
     rns_op and reverse_convert trust a vector stamped with the set they
     are given; every entry point rejects one stamped with a set of another
     n, and checks any other vector in full.  The stamp is not a field, so
@@ -165,13 +165,19 @@ class ResidueVector:
         return (self.r1, self.r2, self.r3)
 
 
-# The kernels' builder: object.__new__, then each slot's own setter,
-# which a frozen vector's __setattr__ would refuse.
-_new = object.__new__
+# Each slot's own setter, past the frozen __setattr__, for the cold paths.
 _put_r1 = ResidueVector.r1.__set__
 _put_r2 = ResidueVector.r2.__set__
 _put_r3 = ResidueVector.r3.__set__
 _put_set = ResidueVector._set.__set__
+
+
+# The kernels' builder: a mutable twin of ResidueVector, with its slots but
+# not its frozen __setattr__, so a store is a plain slot store, not a slot
+# descriptor call (about 60 ns each).  A kernel stores all four slots, none
+# of which can raise, then retypes it to ResidueVector: no _Blank escapes.
+class _Blank:
+    __slots__ = ResidueVector.__slots__
 
 
 def make_moduli_set(n: int) -> ModuliSet:
@@ -244,11 +250,12 @@ def forward_convert(ms: ModuliSet, x: int) -> ResidueVector:
         r3 += m3
     elif r3 >= m3:
         r3 -= m3
-    rv = _new(ResidueVector)  # stamped in place: see ResidueVector
-    _put_r1(rv, x & ms.pow2_mask)
-    _put_r2(rv, 0 if r2 == m2 else r2)
-    _put_r3(rv, r3)
-    _put_set(rv, ms)
+    rv = _Blank()  # stamped, then retyped: see ResidueVector
+    rv.r1 = x & ms.pow2_mask
+    rv.r2 = 0 if r2 == m2 else r2
+    rv.r3 = r3
+    rv._set = ms
+    rv.__class__ = ResidueVector
     return rv
 
 

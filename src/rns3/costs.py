@@ -254,7 +254,9 @@ def truncate_pct(numer: int, denom: int, places: int) -> str:
     if type(numer) is not int:
         raise ParameterError(f"numerator {_shown(numer)} is not an int")
     _check_int(denom, "denominator", 1)
-    _check_int(places, "places", 0)
+    _check_int(places, "places", 0, 4300)  # str()'s default digit limit
+    if abs(numer).bit_length() - denom.bit_length() > 3 * 4300:  # else < 3900 digits
+        raise ParameterError(f"100*{_shown(numer)}/{_shown(denom)} has too many digits")
     scaled = abs(numer) * 100 * 10**places // denom
     whole, frac = divmod(scaled, 10**places)
     digits = str(frac).rjust(places, "0").rstrip("0")

@@ -72,16 +72,20 @@ MUTANTS = [
      "t3 = (t3 & m2) - (t3 >> w)", "t3 = (t3 & m2) + (t3 >> w)",
      "2^(2n) is -1 modulo 2^(2n) + 1, not +1"),
     ("rns_op pow2 mask", "src/rns3/channels.py",
-     "_put_r1(rv, t1 & ms.pow2_mask)", "_put_r1(rv, t1)",
+     "rv.r1 = t1 & ms.pow2_mask", "rv.r1 = t1",
      "the 2^n channel is never reduced"),
     ("rns_op pow2 mask per call", "src/rns3/channels.py",
-     "_put_r1(rv, t1 & ms.pow2_mask)", "_put_r1(rv, t1 & (1 << ms.n) - 1)",
+     "rv.r1 = t1 & ms.pow2_mask", "rv.r1 = t1 & (1 << ms.n) - 1",
      "rns_op computes the 2^n mask per call instead of reading the set's",
      "tests/test_core.py::"
      "test_kernels_execute_a_fixed_number_of_bytecodes_per_call"),
     ("rns_op stamp store", "src/rns3/channels.py",
-     "_put_set(rv, ms)", '_put_set(rv, __import__("rns3.core").core._UNSTAMPED)',
+     "rv._set = ms", 'rv._set = __import__("rns3.core").core._UNSTAMPED',
      "results come back unstamped, so the next rns_op checks them in full"),
+    ("rns_op retype", "src/rns3/channels.py",
+     "    rv.__class__ = ResidueVector\n", "",
+     "results escape as mutable core._Blank, not frozen ResidueVectors",
+     "tests/test_core.py::test_stamped_vector_contract"),
     ("rns_op stamp of b", "src/rns3/channels.py",
      "checked = a._set is ms and b._set is ms", "checked = a._set is ms",
      "a hand-built b skips its checks beside a stamped a"),
@@ -99,8 +103,12 @@ MUTANTS = [
      "0 if r2 == m2 else r2", "r2",
      "X = m2 encodes r2 as m2, not 0"),
     ("forward_convert stamp store", "src/rns3/core.py",
-     "_put_set(rv, ms)", "_put_set(rv, _UNSTAMPED)",
+     "rv._set = ms", "rv._set = _UNSTAMPED",
      "vectors come back unstamped, so every kernel checks them in full"),
+    ("forward_convert retype", "src/rns3/core.py",
+     "    rv.__class__ = ResidueVector\n", "",
+     "vectors escape as mutable _Blank, not frozen ResidueVectors",
+     "tests/test_core.py::test_stamped_vector_contract"),
     ("__setstate__ unstamping store", "src/rns3/core.py",
      '_put_r3(self, state["r3"])\n        _put_set(self, _UNSTAMPED)\n',
      '_put_r3(self, state["r3"])\n',
@@ -261,6 +269,10 @@ MUTANTS = [
      "a negative decimal argument past the int-str limit is read as its "
      "magnitude, not refused",
      "tests/test_cli.py::test_parse_uint_reads_decimal_forms_alike_past_the_digit_limit"),
+    ("truncate_pct digit ceiling", "src/rns3/costs.py",
+     "> 3 * 4300:", "> 4 * 4300:",
+     "a percentage of 4300 to 5200 digits raises ValueError from str(), "
+     "not ParameterError", "tests/test_costs.py::test_truncate_pct"),
     ("bench iters ceiling", "src/rns3/cli.py",
      "if args.iters > sys.maxsize:", "if False:",
      "bench --iters above sys.maxsize raises ValueError from islice, "

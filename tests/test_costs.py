@@ -244,6 +244,12 @@ def test_truncate_pct():
     assert truncate_pct(-1, 1000, 0) == "0"        # -0.1 truncates to 0
     with pytest.raises(ParameterError):
         truncate_pct(1, 0, 2)
+    # A result too long for str() to print is refused before the division.
+    assert truncate_pct(2 ** 12900, 1, 0) == str(2 ** 12900 * 100)
+    with pytest.raises(ParameterError, match="^100\\*<16610-bit int>/3 has too many digits$"):
+        truncate_pct(10 ** 5000 - 1, 3, 2)
+    with pytest.raises(ParameterError, match="^places must be <= 4300, got 5000$"):
+        truncate_pct(1, 3, 5000)
 
 
 @pytest.mark.parametrize("args", [
