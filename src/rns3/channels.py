@@ -9,8 +9,9 @@ without a loop or a division:
 
 - 2^n: one mask.
 - 2^(2n) - 1: one end-around fold after add or sub, two after mul (the
-  first fold leaves at most 2n + 1 bits); the all-ones word, the alias
-  of zero, becomes 0.
+  first fold leaves at most 2n + 1 bits).  A difference t < 0 needs no
+  +m of its own: t >> 2n is -1, so the fold gives t + 2^(2n) - 1 = t + m.
+  The all-ones word, the alias of zero, becomes 0.
 - 2^(2n) + 1: a + b - m and a - b lie in [-m, m), so one conditional +m
   finishes them; a product p becomes (p mod 2^(2n)) - (p >> 2n), which
   lies in [-2^(2n), 2^(2n)) even for p = 2^(4n), and takes the same +m.
@@ -119,7 +120,7 @@ def rns_op(ms: ModuliSet, op: str, a: ResidueVector, b: ResidueVector) -> Residu
         t3 = a3 + b3 - m3
     elif op == "sub":
         t1 = a1 - b1
-        t2 = a2 - b2 + m2
+        t2 = a2 - b2  # if negative, the fold below adds m2: t2 >> w is -1
         t3 = a3 - b3
     else:
         raise ParameterError(f"unknown channel op {_shown(op)}")

@@ -34,23 +34,12 @@ EXHAUSTIVE_MAX_N = 3
 # under the interpreter's int-str limit (4300 digits by default).
 DECIMAL_CHUNK_DIGITS = 1000
 
-# Longest argument that a usage error repeats; a longer one is shown by its
-# length, as errors._shown shows an int too long to write.
-SHOWN_TEXT_CHARS = 100
-
 # Failures listed per verify check, smallest first.
 SHOWN_FAILURES = 10
 
 # Timed passes per bench function; the fastest is reported, since load
 # from other processes only ever slows a pass down.
 BENCH_REPEATS = 5
-
-
-def _shown_text(text: str) -> str:
-    """repr(text) for a usage error, or its length if it is too long."""
-    if len(text) > SHOWN_TEXT_CHARS:
-        return f"<{len(text)}-character text>"
-    return repr(text)
 
 
 def parse_uint(text: str) -> int:
@@ -62,7 +51,7 @@ def parse_uint(text: str) -> int:
         # single _ between digits), in chunks as format_decimal writes them.
         if not re.fullmatch(r"[+-]?\d+(?:_\d+)*", t):
             raise argparse.ArgumentTypeError(
-                f"not an unsigned integer: {_shown_text(text)}")
+                f"not an unsigned integer: {_shown(text)}")
         digits = t.lstrip("+-").replace("_", "")
         value = 0
         for i in range(0, len(digits), DECIMAL_CHUNK_DIGITS):
@@ -70,14 +59,14 @@ def parse_uint(text: str) -> int:
             value = value * 10 ** len(chunk) + int(chunk)
         value = -value if t[0] == "-" else value
     if value < 0:
-        raise argparse.ArgumentTypeError(f"value must be >= 0: {_shown_text(text)}")
+        raise argparse.ArgumentTypeError(f"value must be >= 0: {_shown(text)}")
     return value
 
 
 def parse_positive(text: str) -> int:
     value = parse_uint(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"value must be >= 1: {_shown_text(text)}")
+        raise argparse.ArgumentTypeError(f"value must be >= 1: {_shown(text)}")
     return value
 
 

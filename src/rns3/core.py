@@ -34,13 +34,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from rns3.errors import (OutOfRangeError, ParameterError, ResidueError, _check_int,
                           _check_residue, _shown)
-
-if TYPE_CHECKING:
-    from rns3.channels import ChannelId
 
 
 # The largest n a set accepts, checked before any shift: an n near 10^9
@@ -106,7 +102,8 @@ class ModuliSet:
     def moduli(self) -> tuple[int, int, int]:
         return (self.m1, self.m2, self.m3)
 
-    def channels(self) -> tuple[ChannelId, ChannelId, ChannelId]:
+    def channels(self) -> tuple:
+        """The three channels as channels.ChannelId, in the order of moduli()."""
         # Imported on call, so that loading core does not load channels:
         # only verify --exhaustive calls this, to name a failing channel.
         from rns3.channels import ChannelId, ChannelKind

@@ -311,27 +311,20 @@ def emit_table(rows: list[CostReport], format: str = "text") -> str:
 
 def matched_three_channel_size(n: int) -> int:
     """Width m of the classic set with (almost) the dynamic range of size n."""
-    return max(1, 5 * n // 3)
-
-
-def delay_case(n: int, m: int) -> int:
-    """1 if both compared adders share a prefix depth, 2 if ours is one
-    level deeper, 0 otherwise (does not occur for matched sizes)."""
-    if ceil_log2(2 * n) == ceil_log2(m):
-        return 1
-    if ceil_log2(2 * n) == ceil_log2(m) + 1:
-        return 2
-    return 0
+    return 5 * n // 3
 
 
 def case_census(n_lo: int = 1, n_hi: int = 50) -> tuple[float, float]:
-    """Percentages of sizes in [n_lo, n_hi] falling in delay cases 1 and 2."""
+    """Percentages of sizes n in [n_lo, n_hi] in delay cases 1 and 2: a
+    delay_total gap of 2 (REF11 at the matched m one mux level slower) or
+    of 0 (OURS one prefix level deeper, which that mux offsets)."""
     if not 1 <= n_lo <= n_hi:
         raise ParameterError("need 1 <= n_lo <= n_hi")
-    cases = [delay_case(n, matched_three_channel_size(n))
-             for n in range(n_lo, n_hi + 1)]
-    total = len(cases)
-    return 100.0 * cases.count(1) / total, 100.0 * cases.count(2) / total
+    gaps = [delay_total(ConverterDesign(Design.REF11, matched_three_channel_size(n)))
+            - delay_total(ConverterDesign(Design.OURS, n))
+            for n in range(n_lo, n_hi + 1)]
+    total = len(gaps)
+    return 100.0 * gaps.count(2) / total, 100.0 * gaps.count(0) / total
 
 
 def _compared_designs(n: int, m: int | None) -> list[ConverterDesign]:

@@ -19,20 +19,26 @@ class ResidueError(RnsError):
     """A residue lies outside its channel range [0, m_i)."""
 
 
-def _shown(value) -> str:
-    """repr(value) for an error message, at any size.
+# Longest repr that a message shows; a longer value is shown by its size.
+SHOWN_CHARS = 100
 
-    The interpreter refuses to write an int of more than 4300 decimal
-    digits (by default); such an int is shown by its bit length instead,
-    and any other value whose repr is refused by its type name.
-    """
+
+def _shown(value) -> str:
+    """repr(value) for a message, if at most SHOWN_CHARS long; else, or if
+    repr refuses it (an int past the int-str digit limit), the value by its
+    size: an int by its bit length, a str by its length, else its type."""
     try:
-        return repr(value)
+        text = repr(value)
+        if len(text) <= SHOWN_CHARS:
+            return text
     except ValueError:
-        if isinstance(value, int):
-            sign = "negative " if value < 0 else ""
-            return f"<{sign}{value.bit_length()}-bit int>"
-        return f"<{type(value).__name__} too large to show>"
+        pass
+    if isinstance(value, int):
+        sign = "negative " if value < 0 else ""
+        return f"<{sign}{value.bit_length()}-bit int>"
+    if isinstance(value, str):
+        return f"<{len(value)}-character text>"
+    return f"<{type(value).__name__} too large to show>"
 
 
 def _check_int(value, name: str, lo: int, hi: int | None = None) -> None:

@@ -136,6 +136,12 @@ MUTANTS = [
     ("huge int by bit length", "src/rns3/errors.py",
      'return f"<{sign}{value.bit_length()}-bit int>"', "return str(value)",
      "a message naming a 5000-digit residue raises ValueError, not RnsError"),
+    ("shown length compare", "src/rns3/errors.py",
+     "if len(text) <= SHOWN_CHARS:", "if len(text) < SHOWN_CHARS:",
+     "a message shows a value whose repr is exactly SHOWN_CHARS long by "
+     "its size, not in full",
+     "tests/test_core.py::"
+     "test_messages_show_huge_ints_by_bit_length[rns_op-98-character-op]"),
     ("reverse_convert carry wrap", "src/rns3/converter.py",
      "((carry & mask) | (carry >> k))", "(carry & mask)",
      "the CSA carry out of the MSB is dropped, not wrapped to bit 0"),
@@ -251,6 +257,10 @@ MUTANTS = [
      "                  xnor_or_pairs=(two & ~ones).bit_count(),",
      "a two-wire column beside a constant 1 is billed an XOR/AND pair, "
      "one beside a 0 an XNOR/OR pair"),
+    ("census gap count", "src/rns3/costs.py",
+     "100.0 * gaps.count(2) / total", "100.0 * gaps.count(1) / total",
+     "case 1 counts delay gaps of one unit, which no size has, not two",
+     "tests/test_costs.py::test_case_census"),
     ("channel delay table checks n first", "src/rns3/costs.py",
      "delay = channel_adder_delay(kind, n)  # checks n before str(n)\n"
      "        cells.append([label, str(n), str(delay)])",
@@ -343,10 +353,6 @@ MUTANTS = [
 # Mutants that change no result, so no test can kill them; their text is
 # checked like any row's, but they are not run.
 EQUIVALENT = [
-    ("rns_op sub without +m2", "src/rns3/channels.py",
-     "t2 = a2 - b2 + m2", "t2 = a2 - b2",
-     "for -m2 < t < 0, (t & m2) + (t >> w) is t + 2^w - 1 = t + m2, "
-     "since t >> w is -1: the fold adds the modulus itself"),
     ("verify sub without pad", "src/rns3/cli.py",
      "f(s, t) + pad", "f(s, t)",
      "for -m_i < t < 0, t & (2^n - 1) is t mod 2^n, and the fold leaves t, "

@@ -41,7 +41,6 @@ from rns3.costs import (
     case_census,
     ceil_log2,
     channel_adder_delay,
-    delay_case,
     delay_total,
     matched_three_channel_size,
     modular_adder_delay,
@@ -166,9 +165,13 @@ def test_criterion_7_delay_model_consistency():
             m = matched_three_channel_size(n)
             t11 = delay_total(ConverterDesign(Design.REF11, m))
             assert t11 == 1 + 2 + 2 + modular_adder_delay(2 * m)
-            case = delay_case(n, m)
-            assert case in (1, 2)
-            assert t11 == 2 * L + (12 if case == 1 else 10)
+            # the paper's rule: equal prefix depths (case 1) leave ref11
+            # one mux level slower, else ours is one prefix level deeper
+            if ceil_log2(2 * n) == ceil_log2(m):
+                assert t11 == 2 * L + 12
+            else:
+                assert ceil_log2(2 * n) == ceil_log2(m) + 1
+                assert t11 == 2 * L + 10
         # addition mod 2^(2n)+1 strictly beats the five-channel bound
         for n in range(2, 1001):
             assert (channel_adder_delay(ChannelAdder.MOD_2POW2N_PLUS1, n)
@@ -242,11 +245,12 @@ SUBMODULES = ("errors", "channels", "core", "converter", "datapath", "costs",
               "cli")
 
 
-def fresh_python(code):
-    """Run code in a new interpreter importing rns3 from this checkout."""
+def fresh_python(code, *flags):
+    """Run code in a new interpreter, started with flags, importing rns3
+    from this checkout."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
@@ -270,6 +274,13 @@ def test_import_rns3_loads_no_submodule():
 def test_codec_import_leaves_channels_and_costs_unloaded():
     assert loaded_after("from rns3 import converter, core") == \
         ["rns3", "rns3.converter", "rns3.core", "rns3.errors"]
+
+
+def test_codec_import_leaves_typing_unloaded():
+    # -S: without site, which may import typing through a .pth file
+    fresh_python("import sys\n"
+                 "from rns3 import converter, core\n"
+                 "assert 'typing' not in sys.modules, 'typing loaded'", "-S")
 
 
 def test_readme_library_example_runs_and_loads_the_modules_it_names():

@@ -44,7 +44,8 @@ from rns3.costs import (
     emit_table,
     truncate_pct,
 )
-from rns3.errors import OutOfRangeError, ParameterError, ResidueError, RnsError, _shown
+from rns3.errors import (SHOWN_CHARS, OutOfRangeError, ParameterError, ResidueError,
+                         RnsError, _shown)
 
 
 def brute_force_decode(ms, rv):
@@ -233,13 +234,18 @@ def test_wrong_typed_inputs_raise_parameter_error(call):
 # An int of 5000 decimal digits: more than int-to-str writes by default.
 HUGE = 10 ** 5000 - 1
 
-# Each call hands an entry point an int, or a tuple holding one, too long
-# to write in decimal, with the text its message must show in its place:
-# an RnsError, not a ValueError from the int-to-str conversion.
+# Each call hands an entry point a value whose repr is longer than
+# errors.SHOWN_CHARS, or refused (an int, or a tuple holding one, too long
+# to write in decimal), with the text its message must show in its place:
+# an RnsError, not a ValueError from the int-to-str conversion, and no
+# value written out in full.  The last row's repr just fits, and is shown.
 HUGE_INPUTS = {
     "forward_convert-M": (
         lambda: forward_convert(make_moduli_set(4096), make_moduli_set(4096).M),
         "X must be < <20480-bit int>"),
+    "forward_convert-M-1542-digits": (
+        lambda: forward_convert(make_moduli_set(1024), make_moduli_set(1024).M),
+        "X must be < <5120-bit int>"),
     "validate_residues": (
         lambda: validate_residues(make_moduli_set(2), ResidueVector(0, HUGE, 0)),
         "R2=<16610-bit int> out of range for modulus 15"),
@@ -265,6 +271,17 @@ HUGE_INPUTS = {
     "BitWord": (
         lambda: BitWord(HUGE, 8),
         "value <16610-bit int> does not fit in 8 bits"),
+    "rns_op-101-character-op": (
+        lambda: rns_op(make_moduli_set(2), "x" * 101, ResidueVector(0, 0, 0),
+                       ResidueVector(0, 0, 0)),
+        "unknown channel op <101-character text>"),
+    "crt_reconstruct-list": (
+        lambda: crt_reconstruct(make_moduli_set(2), [0] * 40),
+        "expected a ResidueVector, got <list too large to show>"),
+    "rns_op-98-character-op": (
+        lambda: rns_op(make_moduli_set(2), "x" * 98, ResidueVector(0, 0, 0),
+                       ResidueVector(0, 0, 0)),
+        f"unknown channel op '{'x' * 98}'"),
 }
 
 
@@ -273,6 +290,7 @@ def test_messages_show_huge_ints_by_bit_length(call, shown):
     with pytest.raises(RnsError) as info:
         call()
     assert shown in str(info.value)
+    assert len(str(info.value)) <= 2 * SHOWN_CHARS
 
 
 # Every argument that errors._check_int guards: a call of the value with

@@ -13,7 +13,6 @@ from rns3.costs import (
     case_census,
     ceil_log2,
     channel_adder_delay,
-    delay_case,
     delay_total,
     emit_table,
     hw_bill,
@@ -293,15 +292,15 @@ def test_monotonic_in_size():
             prev_area, prev_delay = a, t
 
 
-def test_delay_case_and_census():
-    # table sizes land in the favorable case
-    for _, n, m in ((None, 2, 3), (None, 4, 6), (None, 7, 11), (None, 13, 22)):
-        assert delay_case(n, m) == 1
-    case1, case2 = case_census(1, 50)
-    assert case1 == 74.0 and case2 == 26.0
-    # every size falls in one of the two cases
-    for n in range(1, 51):
-        assert delay_case(n, matched_three_channel_size(n)) in (1, 2)
+def test_case_census():
+    # The census counts delay gaps of 2 (case 1) and 0 (case 2); every
+    # matched size has one or the other, so the two shares sum to 100.
+    assert case_census(1, 50) == (74.0, 26.0)
+    # the table sizes 2, 4, 7 and 13 land in case 1; 1, 5, 9 and 10 do not
+    assert [case_census(n, n)[0] for n in (1, 2, 4, 5, 7, 9, 10, 13)] == [
+        0.0, 100.0, 100.0, 0.0, 100.0, 0.0, 0.0, 100.0]
+    for n in range(1, 1025):
+        assert sum(case_census(n, n)) == 100.0
 
 
 def test_ours_is_smaller_and_faster_than_ref1_and_ref9():
