@@ -36,10 +36,10 @@ does not call them; it builds both into the wiring of its summands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from rns3.core import MAX_WIDTH, ModuliSet, ResidueVector, _Blank, validate_residues
+from rns3.core import (MAX_WIDTH, ModuliSet, ResidueVector, _Blank, _record,
+                       validate_residues)
 from rns3.errors import ParameterError, _check_int, _check_residue, _shown
 
 CHANNEL_OPS = ("add", "sub", "mul")
@@ -51,24 +51,25 @@ class ChannelKind(Enum):
     POW2_PLUS1 = "pow2_plus1"
 
 
-@dataclass(frozen=True)
+@_record
 class ChannelId:
     """One arithmetic channel: a modulus shape plus its width k in bits."""
 
     kind: ChannelKind
     k: int
 
-    def __post_init__(self):
-        if not isinstance(self.kind, ChannelKind):
+    def __init__(self, kind: ChannelKind, k: int) -> None:
+        if not isinstance(kind, ChannelKind):
             raise ParameterError(
-                f"channel kind {_shown(self.kind)} is not a ChannelKind")
-        _check_int(self.k, "channel width", 1, MAX_WIDTH)
-        modulus = 1 << self.k
-        if self.kind is ChannelKind.POW2_MINUS1:
+                f"channel kind {_shown(kind)} is not a ChannelKind")
+        _check_int(k, "channel width", 1, MAX_WIDTH)
+        modulus = 1 << k
+        if kind is ChannelKind.POW2_MINUS1:
             modulus -= 1
-        elif self.kind is ChannelKind.POW2_PLUS1:
+        elif kind is ChannelKind.POW2_PLUS1:
             modulus += 1
-        object.__setattr__(self, "modulus", modulus)  # frozen: set once
+        for name, value in dict(kind=kind, k=k, modulus=modulus).items():
+            object.__setattr__(self, name, value)  # frozen: one store each
 
 
 def reduce_mod(chan: ChannelId, x: int) -> int:

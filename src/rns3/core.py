@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from rns3.errors import (OutOfRangeError, ParameterError, ResidueError, _check_int,
                           _check_residue, _shown)
@@ -50,7 +50,42 @@ MAX_N = 1 << 16
 MAX_WIDTH = 1 << 22
 
 
-@dataclass(frozen=True)
+def _values(self) -> tuple:
+    return tuple([getattr(self, name) for name in self.__match_args__])
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return _values(self) == _values(other)
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(_values(self))
+
+
+def _repr(self):
+    shown = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_del(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _record(cls):
+    """cls as a frozen dataclass with its own __init__ and the methods above.
+    A decorator, not a base class: ResidueVector keeps the layout _Blank copies."""
+    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
+    cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
+    return dataclass(init=False, repr=False, eq=False)(cls)
+
+
+@_record
 class ModuliSet:
     """The moduli set of size 1 <= n <= MAX_N: n is its only field.
 
@@ -80,20 +115,19 @@ class ModuliSet:
 
     n: int
 
-    def __post_init__(self):
-        _check_int(self.n, "set parameter n", 1, MAX_N)
-        n = self.n
+    def __init__(self, n: int) -> None:
+        _check_int(n, "set parameter n", 1, MAX_N)
         m1, m2, m3 = 1 << n, (1 << 2 * n) - 1, (1 << 2 * n) + 1
         mhat1 = (1 << 4 * n) - 1  # = m2 * m3; every M // m_i is a shift
         for name, value in dict(
-                m1=m1, m2=m2, m3=m3, M=mhat1 << n,
+                n=n, m1=m1, m2=m2, m3=m3, M=mhat1 << n,
                 mhat1=mhat1, mhat2=m3 << n, mhat3=m2 << n,
                 inv1=m1 - 1, inv2=1 << (n - 1), inv3=1 << (n - 1),
                 pow2_mask=(1 << n) - 1, chan_bits=2 * n,
                 word_mask=(1 << 4 * n) - 1, word_bits=4 * n,
                 low_mask=(1 << n + 1) - 1, shift_3n=3 * n,
                 shift_3n_m1=3 * n - 1, shift_n_m1=n - 1, shift_n_p1=n + 1,
-        ).items():
+        ).items():  # one store each: vars(self) would slow the kernels' reads
             object.__setattr__(self, name, value)  # frozen: set once, here
 
     def __reduce__(self):
@@ -117,7 +151,7 @@ class ModuliSet:
 _UNSTAMPED = object()  # not None, which a bad set argument could be
 
 
-@dataclass(frozen=True)
+@_record
 class ResidueVector:
     """Canonical residue triple; bit j of a residue weighs 2^j.
 
@@ -144,7 +178,10 @@ class ResidueVector:
     r2: int
     r3: int
 
-    def __post_init__(self):
+    def __init__(self, r1: int, r2: int, r3: int) -> None:
+        _put_r1(self, r1)
+        _put_r2(self, r2)
+        _put_r3(self, r3)
         _put_set(self, _UNSTAMPED)  # built by hand: not a field
 
     def __getstate__(self):
@@ -153,10 +190,7 @@ class ResidueVector:
         return {"r1": self.r1, "r2": self.r2, "r3": self.r3}
 
     def __setstate__(self, state):
-        _put_r1(self, state["r1"])
-        _put_r2(self, state["r2"])
-        _put_r3(self, state["r3"])
-        _put_set(self, _UNSTAMPED)
+        self.__init__(state["r1"], state["r2"], state["r3"])
 
     def astuple(self) -> tuple[int, int, int]:
         return (self.r1, self.r2, self.r3)

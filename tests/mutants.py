@@ -110,10 +110,57 @@ MUTANTS = [
      "vectors escape as mutable _Blank, not frozen ResidueVectors",
      "tests/test_core.py::test_stamped_vector_contract"),
     ("__setstate__ unstamping store", "src/rns3/core.py",
-     '_put_r3(self, state["r3"])\n        _put_set(self, _UNSTAMPED)\n',
-     '_put_r3(self, state["r3"])\n',
+     'self.__init__(state["r1"], state["r2"], state["r3"])',
+     '_put_r1(self, state["r1"])\n        _put_r2(self, state["r2"])\n'
+     '        _put_r3(self, state["r3"])',
      "copied and unpickled vectors have no stamp at all, so reading it "
      "raises AttributeError"),
+    ("ModuliSet stores through vars", "src/rns3/core.py",
+     "object.__setattr__(self, name, value)  # frozen: set once, here",
+     "vars(self)[name] = value",
+     "the set's values move into an instance dict, and the kernels' reads "
+     "of them specialise to a slower attribute load (3.11 and 3.12)",
+     "tests/test_core.py::test_a_record_keeps_its_values_inline"),
+    ("ChannelId stores through vars", "src/rns3/channels.py",
+     "object.__setattr__(self, name, value)  # frozen: one store each",
+     "vars(self)[name] = value",
+     "a channel's values move into an instance dict, and reduce_mod's and "
+     "channel_op's reads of its modulus specialise to a slower attribute "
+     "load (3.11 and 3.12)",
+     "tests/test_core.py::test_a_record_keeps_its_values_inline"),
+    ("record == without the class check", "src/rns3/core.py",
+     "    if other.__class__ is self.__class__:\n"
+     "        return _values(self) == _values(other)\n    return NotImplemented\n",
+     "    return _values(self) == _values(other)\n",
+     "a record compared with a tuple raises AttributeError, and one of a "
+     "subclass with the same fields compares equal",
+     "tests/test_core.py::test_record_contract"),
+    ("record hash over one field", "src/rns3/core.py",
+     "return hash(_values(self))", "return hash(_values(self)[:1])",
+     "a record's hash is not that of its field tuple: vectors equal in r1 "
+     "hash alike",
+     "tests/test_core.py::test_record_contract"),
+    ("record __setattr__ stores", "src/rns3/core.py",
+     'raise FrozenInstanceError(f"cannot assign to field {name!r}")',
+     "object.__setattr__(self, name, value)",
+     "records are mutable: a field or a derived value can be reassigned",
+     "tests/test_core.py::test_record_contract"),
+    ("record __delattr__ no-op", "src/rns3/core.py",
+     'raise FrozenInstanceError(f"cannot delete field {name!r}")', "pass",
+     "del on a record's attribute passes silently, with no FrozenInstanceError",
+     "tests/test_core.py::test_record_contract"),
+    ("ModuliSet under dataclass(frozen=True)", "src/rns3/core.py",
+     "@_record\nclass ModuliSet:", "@dataclass(frozen=True)\nclass ModuliSet:",
+     "the set behaves the same, but importing core compiles and execs "
+     "its generated methods again",
+     "tests/test_core.py::"
+     "test_imports_execute_a_fixed_number_of_bytecodes_and_generate_no_code"),
+    ("core imports typing", "src/rns3/core.py",
+     "import functools\nimport math\n",
+     "import functools\nimport math\nimport typing\n",
+     "the codec import loads typing, which no rns3 code needs",
+     "tests/test_core.py::"
+     "test_imports_execute_a_fixed_number_of_bytecodes_and_generate_no_code"),
     ("derived pow2 mask", "src/rns3/core.py",
      "pow2_mask=(1 << n) - 1", "pow2_mask=(1 << n + 1) - 1",
      "the 2^n channel keeps bit n: r1 reaches 2^(n+1) - 1"),
@@ -125,12 +172,13 @@ MUTANTS = [
      "a weight congruent to the inverse, so inverse_constants passes it, "
      "but not canonical"),
     ("ModuliSet n >= 1", "src/rns3/core.py",
-     '_check_int(self.n, "set parameter n", 1, MAX_N)',
-     '_check_int(self.n, "set parameter n", 0, MAX_N)',
+     '_check_int(n, "set parameter n", 1, MAX_N)\n        m1',
+     '_check_int(n, "set parameter n", 0, MAX_N)\n        m1',
      "ModuliSet(0) raises ValueError from a negative shift, "
      "not ParameterError"),
     ("make_moduli_set guard", "src/rns3/core.py",
-     '_check_int(n, "set parameter n", 1, MAX_N)', "pass",
+     '_check_int(n, "set parameter n", 1, MAX_N)\n    return',
+     "pass\n    return",
      "make_moduli_set([1]) raises TypeError from the set cache, "
      "not ParameterError"),
     ("huge int by bit length", "src/rns3/errors.py",
@@ -190,8 +238,8 @@ MUTANTS = [
      "tests/test_converter.py::"
      "test_operand_lemmas_are_proved_per_field_for_every_n_up_to_MAX_N"),
     ("ModuliSet n ceiling", "src/rns3/core.py",
-     '_check_int(self.n, "set parameter n", 1, MAX_N)',
-     '_check_int(self.n, "set parameter n", 1)',
+     '_check_int(n, "set parameter n", 1, MAX_N)\n        m1',
+     '_check_int(n, "set parameter n", 1)\n        m1',
      "n = 2^70 raises OverflowError from a shift, not ParameterError"),
     ("BitWord width ceiling", "src/rns3/datapath.py",
      '_check_int(self.width, "width", 0, MAX_WIDTH)',
@@ -199,8 +247,8 @@ MUTANTS = [
      "BitWord(0, 2^70) is built, a word no shift could fill",
      "tests/test_core.py::test_every_int_argument_is_guarded"),
     ("ChannelId width ceiling", "src/rns3/channels.py",
-     '_check_int(self.k, "channel width", 1, MAX_WIDTH)',
-     '_check_int(self.k, "channel width", 1)',
+     '_check_int(k, "channel width", 1, MAX_WIDTH)',
+     '_check_int(k, "channel width", 1)',
      "ChannelId(kind, 2^70) raises OverflowError from a shift, "
      "not ParameterError"),
     ("rotl width ceiling", "src/rns3/channels.py",

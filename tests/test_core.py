@@ -4,8 +4,10 @@ import ast
 import copy
 import dataclasses
 import gc
+import inspect
 import pickle
 import random
+import subprocess
 import sys
 from itertools import repeat
 from pathlib import Path
@@ -467,6 +469,68 @@ def test_residue_vector_contract():
     assert [f.name for f in dataclasses.fields(rv)] == ["r1", "r2", "r3"]
 
 
+# Each record class of core._record: the values of its fields, other values
+# for them, a name that is no field, its repr and its signature.
+RECORDS = {
+    "ModuliSet": (core.ModuliSet, (2,), (3,), "m2", "ModuliSet(n=2)",
+                  "(n: int) -> None"),
+    "ResidueVector": (ResidueVector, (1, 2, 3), (1, 2, 4), "_set",
+                      "ResidueVector(r1=1, r2=2, r3=3)",
+                      "(r1: int, r2: int, r3: int) -> None"),
+    "ChannelId": (ChannelId, (ChannelKind.POW2_PLUS1, 4),
+                  (ChannelKind.POW2_PLUS1, 5), "modulus",
+                  "ChannelId(kind=<ChannelKind.POW2_PLUS1: 'pow2_plus1'>, k=4)",
+                  "(kind: rns3.channels.ChannelKind, k: int) -> None"),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_record_contract(record):
+    # Each record behaves as a dataclass(frozen=True) of its fields would.
+    cls, values, others, derived, text, signature = RECORDS[record]
+    rec = cls(*values)
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    assert dataclasses.is_dataclass(rec) and names == cls.__match_args__
+    assert tuple(getattr(rec, name) for name in names) == values
+    assert str(inspect.signature(cls, eval_str=True)) == signature
+    # == and hash read the field tuple, and only between records of one class.
+    twin = cls(**dict(zip(names, values)))
+    assert rec == twin and hash(rec) == hash(twin) == hash(values)
+    assert rec != cls(*others) and hash(cls(*others)) == hash(others)
+    assert rec != values and rec.__eq__(values) is NotImplemented
+    lookalike = type("Lookalike", (cls,), {})(*values)  # same fields, other class
+    assert rec != lookalike and lookalike != rec
+    assert repr(rec) == text
+    assert dataclasses.replace(rec) == rec
+    assert dataclasses.replace(rec, **{names[-1]: others[-1]}) == cls(*others)
+    with pytest.raises(TypeError, match=derived):
+        dataclasses.replace(rec, **{derived: values[-1]})
+    for name in (*names, derived, "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match="assign to"):
+            setattr(rec, name, values[-1])
+        with pytest.raises(dataclasses.FrozenInstanceError, match="delete"):
+            delattr(rec, name)
+    assert tuple(getattr(rec, name) for name in names) == values
+    copies = [copy.copy(rec), copy.deepcopy(rec)] + [
+        pickle.loads(pickle.dumps(rec, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is cls and other == rec and repr(other) == text
+
+
+@pytest.mark.parametrize("record", [
+    name for name, row in RECORDS.items() if "__slots__" not in vars(row[0])])
+def test_a_record_keeps_its_values_inline(record):
+    # From 3.11, values stored one by one stay inline in the object, and
+    # the kernels' reads of them specialise to the fastest attribute load;
+    # vars(rec), as test_derived_constants_match_closed_forms calls it on
+    # the shared sets, moves them into a dict.
+    if sys.version_info < (3, 11):
+        pytest.skip("3.10 keeps every instance's values in a dict")
+    cls, values = RECORDS[record][:2]
+    assert dict not in map(type, gc.get_referents(cls(*values)))
+
+
 @pytest.mark.parametrize("n", [1, 16, 1024])
 def test_stamped_vector_contract(n):
     # forward_convert and rns_op build their results as core._Blank, then
@@ -783,6 +847,118 @@ def test_kernels_execute_a_fixed_number_of_bytecodes_per_call():
         print(f"bytecodes per call on {sys.version.split()[0]}: {counts[0]}")
     else:
         assert counts[0] == dict(zip(counts[0], budget))
+
+
+# The stdlib modules that rns3 imports at module level, loaded before a
+# count starts, so that the modules counted are rns3's and those it adds.
+PRELOADED = ("__future__", "argparse", "bisect", "dataclasses", "enum",
+             "functools", "itertools", "math", "operator", "random", "re", "time")
+
+# Run as python -c COLD_START SRC MODULE [NAME ...]: imports MODULE (from
+# MODULE import NAME, ...) and prints the bytecodes of rns3 code that it
+# executes, the modules that it loads, the code that it execs that is no
+# module's body, and the functions that this code defines, not counting
+# the builder in which dataclass() wraps them.
+COLD_START = f"""
+import os, sys
+src, module, *fromlist = sys.argv[1:]
+sys.path.insert(0, src)
+package = os.path.join(src, "rns3", "")
+for name in {PRELOADED!r}:
+    __import__(name)
+execs = []
+
+
+def hook(event, args):
+    if event == "exec":
+        execs.append(args[0])
+
+
+def trace(frame, event, arg):
+    global count
+    frame.f_trace_opcodes = True  # on every frame: 3.12 needs it set once
+    if not frame.f_code.co_filename.startswith(package):
+        return None  # stdlib code may change between patch releases
+    count += event == "opcode"
+    return trace
+
+
+def traced(fn, *args):
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+
+
+def defined(code):
+    inner = [c for c in code.co_consts if hasattr(c, "co_code")]
+    return sum(defined(c) + (c.co_name != "__create_fn__") for c in inner)
+
+
+sys.addaudithook(hook)
+count = 0
+traced(lambda: None)  # 3.12 counts 0 on a first trace
+count, before = 0, set(sys.modules)
+traced(__import__, module, None, None, fromlist)
+bodies = {{getattr(m, "__file__", None) for m in sys.modules.values()}}
+made = [code for code in execs if code.co_filename not in bodies]
+print(count, len(sys.modules.keys() - before), len(made), sum(map(defined, made)))
+"""
+
+# The codec, computing on vectors, and the CLI.
+COLD_START_IMPORTS = {
+    "from rns3 import converter, core": ("rns3", "converter", "core"),
+    "from rns3 import channels, converter, core": (
+        "rns3", "channels", "converter", "core"),
+    "import rns3.cli": ("rns3.cli",),
+}
+
+# Per minor version, for each import of COLD_START_IMPORTS in turn: the
+# bytecodes of rns3 code executed, the modules loaded, the code execed that
+# is no module's body and the functions that it defines, on 3.10.13, 3.11.7,
+# 3.12.1 and 3.13.0.  3.13's dataclass() execs one builder per class even
+# when it generates no method: hence its 2 and 3 execs that define nothing.
+COLD_START_BUDGETS = {
+    (3, 10): ((501, 4, 0, 0), (671, 5, 0, 0), (847, 6, 0, 0)),
+    (3, 11): ((504, 4, 0, 0), (676, 5, 0, 0), (836, 6, 0, 0)),
+    (3, 12): ((469, 4, 0, 0), (632, 5, 0, 0), (790, 6, 0, 0)),
+    (3, 13): ((516, 4, 2, 0), (695, 5, 3, 0), (865, 6, 3, 0)),
+}
+
+
+def test_imports_execute_a_fixed_number_of_bytecodes_and_generate_no_code(tmp_path):
+    """Each import executes exactly its budget of rns3 bytecodes for the
+    running minor version, loads its budget of modules and defines no
+    function from code generated at run time, such as the methods that
+    dataclass(frozen=True) compiles.
+
+    Each import runs in a fresh -I -S -B process that compiles every rns3
+    module from source (its pycache_prefix is an empty directory), so that
+    neither a stale __pycache__, PYTHONPATH nor a site .pth file changes
+    the importer's path.  Only rns3's own frames are counted: the stdlib's
+    code, such as importlib's and dataclass()'s, may change between patch
+    releases, and the execs and the functions that they define are counted
+    instead.  Bytecodes do not see compiling, which runs in C; a shorter
+    module compiles faster but counts the same.  A change that lowers a
+    count lowers its budget; one that raises it says why.  With no budget
+    row for the running version, the test prints the counts.
+    """
+    src = str(Path(core.__file__).parent.parent)
+    counts = []
+    for module, *fromlist in COLD_START_IMPORTS.values():
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-B", "-X", f"pycache_prefix={tmp_path}",
+             "-c", COLD_START, src, module, *fromlist],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        counts.append(tuple(map(int, proc.stdout.split())))
+    budget = COLD_START_BUDGETS.get(sys.version_info[:2])
+    if budget is None:
+        print(f"import counts on {sys.version.split()[0]}: {counts}")
+    else:
+        assert dict(zip(COLD_START_IMPORTS, counts)) == \
+            dict(zip(COLD_START_IMPORTS, budget))
 
 
 def test_crt_reconstruct_rejects_bad_residue():
