@@ -77,11 +77,21 @@ def _refuse_del(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _getstate(self):
+    return {name: getattr(self, name) for name in self.__match_args__}
+
+
+def _setstate(self, state):
+    self.__init__(*map(state.get, self.__match_args__))
+
+
 def _record(cls):
-    """cls as a frozen dataclass with its own __init__ and the methods above.
+    """cls as a frozen dataclass with its own __init__ and the methods above:
+    a pickle or copy holds the fields alone, and loads through __init__.
     A decorator, not a base class: ResidueVector keeps the layout _Blank copies."""
     cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
     cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
+    cls.__getstate__, cls.__setstate__ = _getstate, _setstate
     return dataclass(init=False, repr=False, eq=False)(cls)
 
 
@@ -179,28 +189,13 @@ class ResidueVector:
     r3: int
 
     def __init__(self, r1: int, r2: int, r3: int) -> None:
-        _put_r1(self, r1)
-        _put_r2(self, r2)
-        _put_r3(self, r3)
-        _put_set(self, _UNSTAMPED)  # built by hand: not a field
-
-    def __getstate__(self):
-        # The fields without the stamp, so that pickles and copies are
-        # the same as those of a vector built by hand.
-        return {"r1": self.r1, "r2": self.r2, "r3": self.r3}
-
-    def __setstate__(self, state):
-        self.__init__(state["r1"], state["r2"], state["r3"])
+        object.__setattr__(self, "r1", r1)  # frozen: set once, here
+        object.__setattr__(self, "r2", r2)
+        object.__setattr__(self, "r3", r3)
+        object.__setattr__(self, "_set", _UNSTAMPED)  # built by hand
 
     def astuple(self) -> tuple[int, int, int]:
         return (self.r1, self.r2, self.r3)
-
-
-# Each slot's own setter, past the frozen __setattr__, for the cold paths.
-_put_r1 = ResidueVector.r1.__set__
-_put_r2 = ResidueVector.r2.__set__
-_put_r3 = ResidueVector.r3.__set__
-_put_set = ResidueVector._set.__set__
 
 
 # The kernels' builder: a mutable twin of ResidueVector, with its slots but

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
 
+from rns3.core import _setstate
 from rns3.datapath import LAYOUTS
 from rns3.errors import ParameterError, _check_int, _shown
 
@@ -88,6 +89,7 @@ class ConverterDesign:
 
     tag: Design
     size: int
+    __setstate__ = _setstate  # a pickle or copy passes __post_init__
 
     def __post_init__(self):
         if not isinstance(self.tag, Design):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from rns3.core import MAX_WIDTH, ModuliSet, ResidueVector, validate_residues
+from rns3.core import MAX_WIDTH, ModuliSet, ResidueVector, _setstate, validate_residues
 from rns3.errors import ParameterError, _check_int, _shown
 
 
@@ -29,6 +29,7 @@ class BitWord:
 
     value: int
     width: int
+    __setstate__ = _setstate  # a pickle or copy passes __post_init__
 
     def __post_init__(self):
         _check_int(self.value, "value", 0)

@@ -109,12 +109,24 @@ MUTANTS = [
      "    rv.__class__ = ResidueVector\n", "",
      "vectors escape as mutable _Blank, not frozen ResidueVectors",
      "tests/test_core.py::test_stamped_vector_contract"),
-    ("__setstate__ unstamping store", "src/rns3/core.py",
-     'self.__init__(state["r1"], state["r2"], state["r3"])',
-     '_put_r1(self, state["r1"])\n        _put_r2(self, state["r2"])\n'
-     '        _put_r3(self, state["r3"])',
-     "copied and unpickled vectors have no stamp at all, so reading it "
-     "raises AttributeError"),
+    ("ResidueVector.__init__ unstamping store", "src/rns3/core.py",
+     '        object.__setattr__(self, "_set", _UNSTAMPED)  # built by hand\n',
+     "",
+     "hand-built, copied and unpickled vectors have no stamp at all, so "
+     "reading it raises AttributeError"),
+    ("_setstate stores the state as it is", "src/rns3/core.py",
+     "    self.__init__(*map(state.get, self.__match_args__))",
+     "    for name, value in state.items():\n"
+     "        object.__setattr__(self, name, value)",
+     "a pickle or copy skips __init__: a forged channel modulus loads as "
+     "it is, and a refused field loads unchecked",
+     "tests/test_core.py::test_a_forged_state_loads_through_init"),
+    ("BitWord without __setstate__", "src/rns3/datapath.py",
+     "    __setstate__ = _setstate  # a pickle or copy passes __post_init__\n",
+     "",
+     "a pickled or copied word skips __post_init__: BitWord(255, 4) loads, "
+     "and its to_binary() gives 8 digits",
+     "tests/test_core.py::test_a_forged_state_loads_through_init[BitWord]"),
     ("ModuliSet stores through vars", "src/rns3/core.py",
      "object.__setattr__(self, name, value)  # frozen: set once, here",
      "vars(self)[name] = value",

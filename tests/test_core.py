@@ -2,9 +2,11 @@
 
 import ast
 import copy
+import copyreg
 import dataclasses
 import gc
 import inspect
+import io
 import pickle
 import random
 import subprocess
@@ -143,7 +145,9 @@ def test_derived_constants_match_closed_forms():
     # and test_inverse_constants.
     for n in [*range(1, 65), 4096, core.MAX_N]:
         ms = make_moduli_set(n)
-        assert vars(ms).keys() == {"n", *DERIVED}
+        # vars() on an unshared set: on 3.11 and 3.12 it moves the values
+        # into an instance dict, which the shared set must not get.
+        assert vars(core.ModuliSet(n)).keys() == {"n", *DERIVED}
         assert pairwise_coprime(ms.moduli()), n
         twin = dataclasses.replace(ms)
         unpickled = pickle.loads(pickle.dumps(ms))
@@ -158,6 +162,8 @@ def test_derived_constants_match_closed_forms():
         for s in (twin, unpickled, odd):
             assert s == ms and hash(s) == hash(ms) == hash((n,))
             assert repr(s) == repr(ms)
+        if sys.version_info >= (3, 11):  # the shared set read here keeps
+            assert dict not in map(type, gc.get_referents(ms))  # no dict
     assert repr(make_moduli_set(1)) == "ModuliSet(n=1)"
 
 
@@ -524,11 +530,77 @@ def test_a_record_keeps_its_values_inline(record):
     # From 3.11, values stored one by one stay inline in the object, and
     # the kernels' reads of them specialise to the fastest attribute load;
     # vars(rec), as test_derived_constants_match_closed_forms calls it on
-    # the shared sets, moves them into a dict.
+    # an unshared set, moves them into a dict.
     if sys.version_info < (3, 11):
         pytest.skip("3.10 keeps every instance's values in a dict")
     cls, values = RECORDS[record][:2]
     assert dict not in map(type, gc.get_referents(cls(*values)))
+
+
+def forged_pickle(rec, state, protocol):
+    """A pickle of rec that carries state as its state, in the form that
+    pickle's default reduction writes: the class, then the state."""
+    class Forger(pickle.Pickler):
+        def reducer_override(self, obj):
+            if obj is rec:
+                return copyreg.__newobj__, (type(rec),), state
+            return NotImplemented
+
+    out = io.BytesIO()
+    Forger(out, protocol).dump(rec)
+    return out.getvalue()
+
+
+def refusal(fn, *args):
+    """The class and the message of the RnsError that fn(*args) raises."""
+    with pytest.raises(RnsError) as caught:
+        fn(*args)
+    return type(caught.value), str(caught.value)
+
+
+# Each record that checks or derives a value: the values of its fields, a
+# name that is no field with a wrong value for it, and field values that
+# its constructor refuses (None for ResidueVector, which checks none).
+FORGED = {
+    "ModuliSet": (core.ModuliSet, (2,), ("m2", 7), (0,)),
+    "ResidueVector": (ResidueVector, (1, 2, 3), ("_set", make_moduli_set(1)),
+                      None),
+    "ChannelId": (ChannelId, (ChannelKind.POW2, 3), ("modulus", 7),
+                  (ChannelKind.POW2, core.MAX_WIDTH + 1)),
+    "BitWord": (BitWord, (15, 4), ("extra", 1), (255, 4)),
+    "ConverterDesign": (ConverterDesign, (Design.OURS, 2), ("extra", 1),
+                        (Design.OURS, 0)),
+}
+
+
+@pytest.mark.parametrize("record", FORGED)
+def test_a_forged_state_loads_through_init(record):
+    # Every pickle and copy loads through the class's own __init__: a value
+    # that is no field is derived again or dropped, and a field that the
+    # constructor refuses, or a missing one, raises its RnsError.  (A
+    # vector's own state pair re-built it before the records shared one.)
+    cls, values, (name, wrong), bad = FORGED[record]
+    names = cls.__match_args__
+    real, forged = cls(*values), cls(*values)
+    object.__setattr__(forged, name, wrong)
+    state = {**dict(zip(names, values)), name: wrong}
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    for other in [copy.copy(forged), copy.deepcopy(forged)] + [
+            pickle.loads(forged_pickle(real, state, p)) for p in protocols]:
+        assert type(other) is cls and other == real
+        assert getattr(other, name, None) == getattr(real, name, None)
+    if bad is None:
+        return
+    for fields in (bad, (None, *values[1:])):  # out of range, then missing
+        want = refusal(cls, *fields)
+        state = {key: value for key, value in zip(names, fields)
+                 if value is not None}
+        for p in protocols:
+            assert refusal(pickle.loads, forged_pickle(real, state, p)) == want
+    for key, value in zip(names, bad):
+        object.__setattr__(forged, key, value)
+    assert refusal(copy.copy, forged) == refusal(copy.deepcopy, forged) == \
+        refusal(cls, *bad)
 
 
 @pytest.mark.parametrize("n", [1, 16, 1024])
@@ -595,6 +667,36 @@ def test_vectors_pickled_with_an_instance_dict_still_load(protocol, monkeypatch)
                         lambda *args: checked.append(args) or real(*args))
     assert crt_reconstruct(ms, rv) == 23
     assert checked == [(ms, rv)]
+
+
+# pickle.dumps(ChannelId(ChannelKind.POW2, 3), protocol) as written while
+# channel pickles carried the derived modulus, 8, for protocols 0, 2 and 5,
+# and the same bytes with the modulus changed to 7.
+MODULUS_ERA_PICKLES = {
+    0: (b"ccopy_reg\n_reconstructor\np0\n(crns3.channels\nChannelId\np1\n"
+        b"c__builtin__\nobject\np2\nNtp3\nRp4\n(dp5\nVkind\np6\n"
+        b"crns3.channels\nChannelKind\np7\n(Vpow2\np8\ntp9\nRp10\nsVk\np11\n"
+        b"I3\nsVmodulus\np12\nI8\nsb.", b"I8\nsb.", b"I7\nsb."),
+    2: (b"\x80\x02crns3.channels\nChannelId\nq\x00)\x81q\x01}q\x02(X\x04\x00"
+        b"\x00\x00kindq\x03crns3.channels\nChannelKind\nq\x04X\x04\x00\x00\x00"
+        b"pow2q\x05\x85q\x06Rq\x07X\x01\x00\x00\x00kq\x08K\x03X\x07\x00\x00"
+        b"\x00modulusq\tK\x08ub.", b"K\x08ub.", b"K\x07ub."),
+    5: (b"\x80\x05\x95]\x00\x00\x00\x00\x00\x00\x00\x8c\rrns3.channels\x94"
+        b"\x8c\tChannelId\x94\x93\x94)\x81\x94}\x94(\x8c\x04kind\x94h\x00\x8c"
+        b"\x0bChannelKind\x94\x93\x94\x8c\x04pow2\x94\x85\x94R\x94\x8c\x01k"
+        b"\x94K\x03\x8c\x07modulus\x94K\x08ub.", b"K\x08ub.", b"K\x07ub."),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(MODULUS_ERA_PICKLES))
+def test_channels_pickled_with_their_modulus_load_it_derived(protocol):
+    # The modulus in such a pickle is not read: a forged 7 made
+    # reduce_mod(chan, 9) return 2 and channel_op add 3 + 4 return 0.
+    data, real, forged = MODULUS_ERA_PICKLES[protocol]
+    assert data.count(real) == 1
+    for chan in (pickle.loads(data), pickle.loads(data.replace(real, forged))):
+        assert chan == ChannelId(ChannelKind.POW2, 3) and chan.modulus == 8
+        assert reduce_mod(chan, 9) == 1 and channel_op(chan, "add", 3, 4) == 7
 
 
 # Each entry point, with rv as its (first) vector operand.
@@ -667,7 +769,7 @@ def test_crt_reconstruct_checks_a_stamped_vector():
     # (0, 15, 15) to 780.
     ms2 = make_moduli_set(2)
     rv = forward_convert(ms2, 100)
-    core._put_r2(rv, ms2.m2)
+    object.__setattr__(rv, "r2", ms2.m2)
     assert rv._set is ms2
     with pytest.raises(ResidueError, match="^R2=15 out of range for modulus 15$"):
         crt_reconstruct(ms2, rv)
@@ -856,9 +958,10 @@ PRELOADED = ("__future__", "argparse", "bisect", "dataclasses", "enum",
 
 # Run as python -c COLD_START SRC MODULE [NAME ...]: imports MODULE (from
 # MODULE import NAME, ...) and prints the bytecodes of rns3 code that it
-# executes, the modules that it loads, the code that it execs that is no
-# module's body, and the functions that this code defines, not counting
-# the builder in which dataclass() wraps them.
+# executes, the AST nodes of the rns3 sources that it loads, the modules
+# that it loads, the code that it execs that is no module's body, and the
+# functions that this code defines, not counting the builder in which
+# dataclass() wraps them.  ast is imported after the count of modules.
 COLD_START = f"""
 import os, sys
 src, module, *fromlist = sys.argv[1:]
@@ -901,9 +1004,14 @@ count = 0
 traced(lambda: None)  # 3.12 counts 0 on a first trace
 count, before = 0, set(sys.modules)
 traced(__import__, module, None, None, fromlist)
+loaded = [sys.modules[name] for name in sys.modules.keys() - before]
 bodies = {{getattr(m, "__file__", None) for m in sys.modules.values()}}
 made = [code for code in execs if code.co_filename not in bodies]
-print(count, len(sys.modules.keys() - before), len(made), sum(map(defined, made)))
+import ast
+sources = [m.__loader__.get_source(m.__name__) for m in loaded
+           if getattr(m, "__file__", "").startswith(package)]
+nodes = sum(len(list(ast.walk(ast.parse(source)))) for source in sources)
+print(count, nodes, len(loaded), len(made), sum(map(defined, made)))
 """
 
 # The codec, computing on vectors, and the CLI.
@@ -915,23 +1023,24 @@ COLD_START_IMPORTS = {
 }
 
 # Per minor version, for each import of COLD_START_IMPORTS in turn: the
-# bytecodes of rns3 code executed, the modules loaded, the code execed that
-# is no module's body and the functions that it defines, on 3.10.13, 3.11.7,
-# 3.12.1 and 3.13.0.  3.13's dataclass() execs one builder per class even
-# when it generates no method: hence its 2 and 3 execs that define nothing.
+# bytecodes of rns3 code executed, the AST nodes of the rns3 sources
+# loaded, the modules loaded, the code execed that is no module's body and
+# the functions that it defines, on 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
+# 3.13's dataclass() execs one builder per class even when it generates
+# no method: hence its 2 and 3 execs that define nothing.
 COLD_START_BUDGETS = {
-    (3, 10): ((501, 4, 0, 0), (671, 5, 0, 0), (847, 6, 0, 0)),
-    (3, 11): ((504, 4, 0, 0), (676, 5, 0, 0), (836, 6, 0, 0)),
-    (3, 12): ((469, 4, 0, 0), (632, 5, 0, 0), (790, 6, 0, 0)),
-    (3, 13): ((516, 4, 2, 0), (695, 5, 3, 0), (865, 6, 3, 0)),
+    (3, 10): ((499, 2578, 4, 0, 0), (676, 3440, 5, 0, 0), (852, 6554, 6, 0, 0)),
+    (3, 11): ((502, 2578, 4, 0, 0), (681, 3440, 5, 0, 0), (841, 6554, 6, 0, 0)),
+    (3, 12): ((467, 2578, 4, 0, 0), (637, 3440, 5, 0, 0), (795, 6554, 6, 0, 0)),
+    (3, 13): ((514, 2578, 4, 2, 0), (700, 3440, 5, 3, 0), (870, 6554, 6, 3, 0)),
 }
 
 
 def test_imports_execute_a_fixed_number_of_bytecodes_and_generate_no_code(tmp_path):
     """Each import executes exactly its budget of rns3 bytecodes for the
-    running minor version, loads its budget of modules and defines no
-    function from code generated at run time, such as the methods that
-    dataclass(frozen=True) compiles.
+    running minor version, compiles its budget of AST nodes, loads its
+    budget of modules and defines no function from code generated at run
+    time, such as the methods that dataclass(frozen=True) compiles.
 
     Each import runs in a fresh -I -S -B process that compiles every rns3
     module from source (its pycache_prefix is an empty directory), so that
@@ -939,8 +1048,9 @@ def test_imports_execute_a_fixed_number_of_bytecodes_and_generate_no_code(tmp_pa
     the importer's path.  Only rns3's own frames are counted: the stdlib's
     code, such as importlib's and dataclass()'s, may change between patch
     releases, and the execs and the functions that they define are counted
-    instead.  Bytecodes do not see compiling, which runs in C; a shorter
-    module compiles faster but counts the same.  A change that lowers a
+    instead.  Bytecodes do not see compiling, which runs in C and takes
+    time in step with the AST nodes of the sources loaded, so those are
+    counted too: a shorter module compiles faster.  A change that lowers a
     count lowers its budget; one that raises it says why.  With no budget
     row for the running version, the test prints the counts.
     """
